@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array
-from .learn import LearnConfig, kernel_weights, learn_cgl_baseline, learn_joint
+from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs
+from .learn import LearnConfig, kernel_weights, learn, pairwise_distances
 from .solver import SingularModelError
 from .verify import baseline_variogram_edge_bound, variogram_edge_bound
 
@@ -93,9 +93,7 @@ def _points_of(sample_or_points) -> np.ndarray:
 def variogram_covariance(sample_or_points, spec: VariogramSpec) -> CovarianceMatrix:
     """Exact covariance of the variogram model at the sampled locations."""
     points = _points_of(sample_or_points)
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    S = spec.sill * np.exp(-dist / spec.range_)
+    S = spec.sill * np.exp(-pairwise_distances(points) / spec.range_)
     np.fill_diagonal(S, spec.sill)
     return CovarianceMatrix(entries=S)
 
@@ -104,9 +102,7 @@ def kernel_initial_graph(sample_or_points) -> np.ndarray:
     """Fully connected Gaussian-kernel starting weights over all pairs,
     ordered like :func:`covgraph.graphs.all_pairs`."""
     points = _points_of(sample_or_points)
-    n = points.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return kernel_weights(points, pairs)
+    return kernel_weights(points, all_pairs(points.shape[0]))
 
 
 def compute_metrics(result, method=None, r=None) -> MetricsRow:
@@ -140,7 +136,8 @@ def compute_metrics(result, method=None, r=None) -> MetricsRow:
     )
 
 
-def _run_trial(method, r, n, seed, template: LearnConfig) -> MetricsRow:
+def _run_trial(method, r, n, seed, template: LearnConfig):
+    """Metrics of one trial and whether its learner converged."""
     sample = sample_locations(n, seed)
     S = variogram_covariance(sample, VariogramSpec(range_=r))
     config = replace(
@@ -151,11 +148,8 @@ def _run_trial(method, r, n, seed, template: LearnConfig) -> MetricsRow:
         init_weights=None,
         init_value=None,
     )
-    if method == "joint":
-        result = learn_joint(S, config)
-    else:
-        result = learn_cgl_baseline(S, config)
-    return compute_metrics(result, method=method, r=r)
+    result = learn(S, config)
+    return compute_metrics(result, method=method, r=r), result.converged
 
 
 def _mean_or_none(values):
@@ -177,9 +171,11 @@ def run_experiment(
     Trial k uses seed ``base_seed + k``, so every method sees the same
     locations and the same kernel initialization. Failed trials (a numerical
     singularity in the baseline) are excluded from the averages with an
-    explicit warning. Rows are emitted baseline-first, ranges in the given
-    order. ``parallel`` > 1 runs trials in worker processes; results are
-    merged in deterministic trial order either way.
+    explicit warning; trials that stopped at ``max_epochs`` stay in the
+    averages, with one warning per (method, range) giving their count. Rows
+    are emitted baseline-first, ranges in the given order. ``parallel`` > 1
+    runs trials in worker processes; results are merged in deterministic
+    trial order either way.
     """
     if trials < 1:
         raise GraphValidationError("trials must be at least 1")
@@ -212,6 +208,7 @@ def run_experiment(
     for method in methods:
         for r in ranges:
             collected = []
+            unconverged = 0
             for k in range(trials):
                 key = (method, float(r), int(n), int(base_seed) + k)
                 outcome = outcomes[key]
@@ -221,7 +218,14 @@ def run_experiment(
                         f"excluded from the averages: {outcome}"
                     )
                     continue
-                collected.append(outcome)
+                row, converged = outcome
+                collected.append(row)
+                unconverged += not converged
+            if unconverged:
+                warnings.warn(
+                    f"{unconverged} of {trials} trials for method={method} r={r} "
+                    "stopped at max_epochs without converging; they stay in the averages"
+                )
             if not collected:
                 warnings.warn(f"all trials failed for method={method} r={r}")
                 rows.append(

@@ -17,7 +17,7 @@ import numpy as np
 from . import io
 from .bench import VariogramSpec, bound_curves, run_experiment, sample_locations, variogram_covariance
 from .graphs import GraphValidationError, laplacian
-from .learn import LearnConfig, learn_cgl_baseline, learn_joint
+from .learn import LearnConfig, learn
 from .solver import SingularModelError
 from .spectral import compute_gft, joint_model_psd, laplacian_model_psd, sample_stationary_signals
 from .verify import bound_report, kkt_report, trim_violations
@@ -78,11 +78,7 @@ def _cmd_learn(args):
     points = io.read_points_csv(args.points) if args.points else None
     if points is not None and points.shape[0] != S.n:
         raise CliError(f"{args.points}: {points.shape[0]} locations for a {S.n}-vertex covariance")
-    config = _learn_config(args, points)
-    if args.method == "joint":
-        result = learn_joint(S, config)
-    else:
-        result = learn_cgl_baseline(S, config)
+    result = learn(S, _learn_config(args, points))
     io.write_graph_json(args.out, result.graph)
     io.write_learn_meta_json(io.meta_path_for(args.out), result)
     if not result.converged:
@@ -135,8 +131,7 @@ def _cmd_gft(args):
     if args.out_spectrum:
         io.write_spectrum_csv(args.out_spectrum, spectrum)
     else:
-        rows = [spectrum.lambdas] + [row for row in spectrum.modes]
-        sys.stdout.write("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        sys.stdout.write(io._rows_to_text([spectrum.lambdas, *spectrum.modes]))
     return 0
 
 
@@ -149,7 +144,7 @@ def _cmd_sample(args):
     if args.out:
         io.write_signals_csv(args.out, signals)
     else:
-        sys.stdout.write("".join(",".join(repr(float(v)) for v in row) + "\n" for row in signals))
+        sys.stdout.write(io._rows_to_text(signals))
     return 0
 
 
@@ -174,26 +169,20 @@ def _cmd_experiment(args):
         config=config,
         parallel=args.parallel,
     )
-    text = io.experiment_table_to_csv(table)
     if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(text, encoding="utf-8")
+        io.write_experiment_csv(args.out, table)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io.experiment_table_to_csv(table))
     return 0
 
 
 def _cmd_bounds(args):
     ranges = _parse_floats(args.ranges)
     d_grid, curves = bound_curves(ranges, sill=args.sill, d_max=args.d_max, steps=args.steps)
-    text = io.bound_curves_to_csv(d_grid, curves)
     if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(text, encoding="utf-8")
+        io.write_bound_curves_csv(args.out, d_grid, curves)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io.bound_curves_to_csv(d_grid, curves))
     return 0
 
 
@@ -283,12 +272,13 @@ def main(argv=None) -> int:
         if getattr(args, "trim", False) and not args.out_graph:
             raise CliError("--trim requires --out-graph")
         return args.handler(args)
+    except (SingularModelError, np.linalg.LinAlgError) as exc:
+        # Before ValueError: numpy's LinAlgError is a ValueError subclass.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (CliError, GraphValidationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SingularModelError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

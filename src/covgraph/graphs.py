@@ -44,11 +44,7 @@ class Graph:
 
     def pair_arrays(self):
         """Edge endpoints as two int arrays (empty arrays when edgeless)."""
-        if not self.edges:
-            empty = np.zeros(0, dtype=int)
-            return empty, empty.copy()
-        idx = np.array([(i, j) for i, j, _ in self.edges], dtype=int)
-        return idx[:, 0], idx[:, 1]
+        return endpoint_arrays([(i, j) for i, j, _ in self.edges])
 
     def weights(self) -> np.ndarray:
         return np.array([w for _, _, w in self.edges], dtype=float)
@@ -112,14 +108,26 @@ def build_graph(n, edges, q=None, q_min=None) -> Graph:
     return Graph(n=n, edges=kept, q=q, q_min=q_min)
 
 
+def endpoint_arrays(pairs):
+    """Pairs (i, j) as two int arrays of endpoints (empty arrays when there are none)."""
+    idx = np.array(pairs, dtype=int).reshape(-1, 2)
+    return idx[:, 0], idx[:, 1]
+
+
 def laplacian_from_pairs(n, idx_i, idx_j, w) -> np.ndarray:
-    """Dense combinatorial Laplacian from parallel endpoint/weight arrays."""
+    """Dense combinatorial Laplacian from parallel endpoint/weight arrays.
+
+    Degrees add j-side terms before i-side terms: for pairs sorted by (i, j)
+    that is the summation order of adding one edge at a time.
+    """
+    idx_i = np.asarray(idx_i, dtype=int)
+    idx_j = np.asarray(idx_j, dtype=int)
+    w = np.asarray(w, dtype=float)
     L = np.zeros((n, n))
-    for i, j, we in zip(np.asarray(idx_i, dtype=int), np.asarray(idx_j, dtype=int), w):
-        L[i, i] += we
-        L[j, j] += we
-        L[i, j] -= we
-        L[j, i] -= we
+    np.add.at(L, (idx_j, idx_j), w)
+    np.add.at(L, (idx_i, idx_i), w)
+    np.add.at(L, (idx_i, idx_j), -w)
+    np.add.at(L, (idx_j, idx_i), -w)
     return L
 
 

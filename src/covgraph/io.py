@@ -20,7 +20,8 @@ def _fmt(x) -> str:
 
 
 def _rows_to_text(rows) -> str:
-    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    """One comma-separated line per row; each row is a float array."""
+    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
 
 
 def write_covariance_csv(path, S) -> None:

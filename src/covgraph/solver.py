@@ -1,10 +1,12 @@
 """Coordinate-minimization engine over a maintained dense inverse.
 
-The solver state tracks the inverse ``phi`` of the model matrix, which is
-diag(q) + L(w) in joint mode and L(w) + J/n (J all-ones) in baseline mode,
-and applies single-coordinate updates. Each applied update changes the
-model matrix by a rank-one term ``delta * v v^T``, so ``phi`` is maintained
-with the Sherman-Morrison identity
+The learning problem of both methods is defined here once, by
+:func:`model_matrix` (diag(q) + L in joint mode, L + J/n with J all-ones
+in baseline mode, ``q=None``) and :func:`model_objective`; the solver state
+tracks the inverse ``phi`` of the model matrix and applies
+single-coordinate updates. Each applied update changes the model
+matrix by a rank-one term ``delta * v v^T``, so ``phi`` is maintained with
+the Sherman-Morrison identity
 
     phi' = phi - delta * (phi v)(phi v)^T / (1 + delta * v^T phi v)
 
@@ -21,7 +23,7 @@ from math import log1p
 
 import numpy as np
 
-from .graphs import GraphValidationError, as_covariance, laplacian_from_pairs
+from .graphs import GraphValidationError, as_covariance, endpoint_arrays, laplacian_from_pairs
 
 MODE_JOINT = "joint"
 MODE_BASELINE = "baseline"
@@ -62,7 +64,7 @@ class SolverState:
         self.w = np.asarray(w, dtype=float).copy()
         self.q = None if q is None else np.asarray(q, dtype=float).copy()
         self.q_min = q_min
-        self.edge_costs = np.array([edge_cost(S, i, j) for i, j in self.pairs])
+        self.edge_costs = edge_cost(S, *self.pair_arrays())
         self._sdiag = np.diag(S).copy()
         self.phi = None
         self.objective = None
@@ -75,39 +77,59 @@ class SolverState:
         return len(self.pairs)
 
     def pair_arrays(self):
-        if not self.pairs:
-            empty = np.zeros(0, dtype=int)
-            return empty, empty.copy()
-        idx = np.array(self.pairs, dtype=int)
-        return idx[:, 0], idx[:, 1]
+        return endpoint_arrays(self.pairs)
 
     def laplacian(self) -> np.ndarray:
         idx_i, idx_j = self.pair_arrays()
         return laplacian_from_pairs(self.n, idx_i, idx_j, self.w)
 
     def model_matrix(self) -> np.ndarray:
-        """diag(q) + L in joint mode, L + J/n in baseline mode."""
-        L = self.laplacian()
-        if self.mode == MODE_JOINT:
-            L[np.diag_indices(self.n)] += self.q
-            return L
-        return L + 1.0 / self.n
+        return model_matrix(self.laplacian(), self.q)
 
 
-def edge_cost(S, i, j) -> float:
-    """Quadratic form of the edge's incidence vector in S.
+def model_matrix(L, q=None) -> np.ndarray:
+    """diag(q) + L in joint mode; L + J/n in baseline mode (``q=None``)."""
+    return L + 1.0 / L.shape[0] if q is None else L + np.diag(q)
+
+
+def model_objective(L, q, S) -> float:
+    """-logdet(model_matrix(L, q)) + data trace term.
+
+    The trace term is trace((diag(q)+L) S) in joint mode and trace(L S) in
+    baseline mode (the J/n shim enters only the log-determinant).
+    """
+    theta = model_matrix(L, q)
+    sign, logdet = np.linalg.slogdet(theta)
+    if sign <= 0:
+        raise SingularModelError("model matrix is not positive definite")
+    return -logdet + float(np.sum((L if q is None else theta) * S))
+
+
+def pair_quadratic(M, idx_i, idx_j) -> np.ndarray:
+    """M_ii + M_jj - 2 M_ij for each pair: the quadratic form of the pair's
+    incidence vector in M (edge cost on S, effective resistance on phi)."""
+    d = np.diag(M)
+    return d[idx_i] + d[idx_j] - 2.0 * M[idx_i, idx_j]
+
+
+def edge_cost(S, i, j):
+    """Quadratic form of the edge's incidence vector in S (an array of them
+    when ``i`` and ``j`` are index arrays).
 
     Equals S_ii + S_jj - 2 S_ij and must be strictly positive; a zero or
     negative value means the two variables are perfectly correlated, which
     no valid covariance for this model admits.
     """
-    S = np.asarray(S)
-    h = float(S[i, i] + S[j, j] - 2.0 * S[i, j])
-    if h <= 0:
+    idx_i, idx_j = np.atleast_1d(i), np.atleast_1d(j)
+    h = pair_quadratic(np.asarray(S), idx_i, idx_j)
+    bad = np.flatnonzero(h <= 0)
+    if bad.size:
+        k = bad[0]
         raise GraphValidationError(
-            f"edge cost for pair ({i}, {j}) is {h}; covariance is degenerate"
+            f"edge cost for pair ({idx_i[k]}, {idx_j[k]}) is {float(h[k])}; "
+            "covariance is degenerate"
         )
-    return h
+    return h if np.ndim(i) else float(h[0])
 
 
 def _is_connected(n, pairs, w) -> bool:
@@ -174,20 +196,8 @@ def init_state(S, pairs, w0, q0=None, q_min=None) -> SolverState:
 
 
 def evaluate_objective(state) -> float:
-    """Objective from scratch: -logdet(model matrix) + data trace term.
-
-    The trace term is trace((diag(q)+L) S) in joint mode and trace(L S) in
-    baseline mode (the J/n shim enters only the log-determinant).
-    """
-    theta = state.model_matrix()
-    sign, logdet = np.linalg.slogdet(theta)
-    if sign <= 0:
-        raise SingularModelError("model matrix is not positive definite")
-    if state.mode == MODE_JOINT:
-        trace_term = float(np.sum(theta * state.S))
-    else:
-        trace_term = float(np.sum(state.laplacian() * state.S))
-    return -logdet + trace_term
+    """Objective of the state's current weights, recomputed directly."""
+    return model_objective(state.laplacian(), state.q, state.S)
 
 
 def refresh_phi(state) -> float:
@@ -196,7 +206,8 @@ def refresh_phi(state) -> float:
     Also re-evaluates the cached objective, so accumulated rounding from
     long runs of rank-one updates is flushed.
     """
-    theta = state.model_matrix()
+    L = state.laplacian()
+    theta = model_matrix(L, state.q)
     if state.mode == MODE_BASELINE:
         try:
             np.linalg.cholesky(theta)
@@ -208,7 +219,7 @@ def refresh_phi(state) -> float:
     phi = (phi + phi.T) / 2.0
     drift = 0.0 if state.phi is None else float(np.max(np.abs(phi - state.phi), initial=0.0))
     state.phi = phi
-    state.objective = evaluate_objective(state)
+    state.objective = model_objective(L, state.q, state.S)
     state.updates_since_refresh = 0
     return drift
 

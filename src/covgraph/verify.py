@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import as_covariance, build_graph, laplacian
+from .solver import model_matrix, model_objective, pair_quadratic
 
 # Importances are clamped to the floor exactly, so "at the floor" is an
 # equality test with a tiny absolute guard.
@@ -76,14 +77,18 @@ def edge_weight_bound(S, i, j) -> float:
     Equals rho^2 / ((1 - rho^2) |S_ij|) with rho the correlation of the
     pair; zero when S_ij = 0, and NaN (inapplicable) when |rho| >= 1.
     """
-    S = as_covariance(S).entries
+    return _correlation_bound(as_covariance(S).entries, i, j)[1]
+
+
+def _correlation_bound(S, i, j):
+    """(rho, bound) of the pair (i, j) in a validated covariance array."""
     sij = S[i, j]
-    if sij == 0.0:
-        return 0.0
     rho = sij / math.sqrt(S[i, i] * S[j, j])
+    if sij == 0.0:
+        return rho, 0.0
     if abs(rho) >= 1.0:
-        return math.nan
-    return rho * rho / ((1.0 - rho * rho) * abs(sij))
+        return rho, math.nan
+    return rho, rho * rho / ((1.0 - rho * rho) * abs(sij))
 
 
 def variogram_edge_bound(d, r, sill=10.0):
@@ -108,8 +113,9 @@ def baseline_variogram_edge_bound(d, r, sill=10.0):
 def screen_edges(S) -> list:
     """Candidate pairs that can carry weight at an optimum: S_ij > 0."""
     S = as_covariance(S).entries
-    n = S.shape[0]
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if S[i, j] > 0]
+    idx_i, idx_j = np.triu_indices(S.shape[0], k=1)
+    keep = S[idx_i, idx_j] > 0
+    return list(zip(idx_i[keep].tolist(), idx_j[keep].tolist()))
 
 
 def _graph_of(result_or_graph):
@@ -126,9 +132,7 @@ def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
     n_applicable = 0
     n_violated = 0
     for i, j, w in graph.edges:
-        sij = S[i, j]
-        rho = float(sij / math.sqrt(S[i, i] * S[j, j]))
-        bound = edge_weight_bound(S, i, j)
+        rho, bound = _correlation_bound(S, i, j)
         above_floor = bool(
             graph.q[i] > graph.q_min + FLOOR_TOL and graph.q[j] > graph.q_min + FLOOR_TOL
         )
@@ -139,7 +143,7 @@ def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
                 i=int(i),
                 j=int(j),
                 w=float(w),
-                rho=rho,
+                rho=float(rho),
                 bound=float(bound),
                 applicable=applicable,
                 violated=violated,
@@ -168,35 +172,20 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
         raise ValueError("optimality verification requires a graph with vertex importances")
     S = as_covariance(S).entries
     n = graph.n
-    theta = laplacian(graph)
-    theta[np.diag_indices(n)] += graph.q
+    theta = model_matrix(laplacian(graph), graph.q)
     phi = np.linalg.inv(theta)
     phi = (phi + phi.T) / 2.0
 
-    weight = {(i, j): w for i, j, w in graph.edges}
-    max_edge = 0.0
-    violations = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            h = S[i, i] + S[j, j] - 2.0 * S[i, j]
-            r = phi[i, i] + phi[j, j] - 2.0 * phi[i, j]
-            gap = 1.0 / h - 1.0 / r
-            if weight.get((i, j), 0.0) > 0.0:
-                max_edge = max(max_edge, abs(gap))
-            else:
-                if gap > tol:
-                    violations += 1
-                max_edge = max(max_edge, max(gap, 0.0))
+    idx_i, idx_j = np.triu_indices(n, k=1)
+    edge_gap = 1.0 / pair_quadratic(S, idx_i, idx_j) - 1.0 / pair_quadratic(phi, idx_i, idx_j)
+    free_edge = theta[idx_i, idx_j] < 0.0  # the pairs carrying weight
+    vertex_gap = 1.0 / np.diag(S) - 1.0 / np.diag(phi)
+    free_vertex = graph.q > graph.q_min + FLOOR_TOL
 
-    max_vertex = 0.0
-    for i in range(n):
-        gap = 1.0 / S[i, i] - 1.0 / phi[i, i]
-        if graph.q[i] > graph.q_min + FLOOR_TOL:
-            max_vertex = max(max_vertex, abs(gap))
-        else:
-            if gap > tol:
-                violations += 1
-            max_vertex = max(max_vertex, max(gap, 0.0))
+    max_edge = _max_residual(edge_gap, free_edge)
+    max_vertex = _max_residual(vertex_gap, free_vertex)
+    violations = int(np.count_nonzero(~free_edge & (edge_gap > tol)))
+    violations += int(np.count_nonzero(~free_vertex & (vertex_gap > tol)))
 
     off_diag = theta - np.diag(np.diag(theta))
     m_matrix_ok = bool(np.all(off_diag <= 0.0))
@@ -211,11 +200,10 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     )
 
 
-def _joint_objective(graph, S) -> float:
-    theta = laplacian(graph)
-    theta[np.diag_indices(graph.n)] += graph.q
-    sign, logdet = np.linalg.slogdet(theta)
-    return -logdet + float(np.sum(theta * S))
+def _max_residual(gap, free) -> float:
+    """Largest |gap| over free coordinates and positive gap over bound ones."""
+    residual = np.where(free, np.abs(gap), np.maximum(gap, 0.0))
+    return float(np.max(residual, initial=0.0))
 
 
 def trim_violations(result, S, tol=1e-8):
@@ -238,6 +226,6 @@ def trim_violations(result, S, tol=1e-8):
     if not hasattr(result, "graph"):
         # Bare Graph in, bare Graph out.
         return trimmed, report.n_violated
-    objective = _joint_objective(trimmed, S)
+    objective = model_objective(laplacian(trimmed), trimmed.q, S)
     new_result = dataclasses.replace(result, graph=trimmed, objective=objective)
     return new_result, report.n_violated

@@ -3,8 +3,11 @@
 Nothing here touches the package's solver machinery: matrices are
 assembled from scratch, eigenproblems go through SciPy, and the minimizers
 are projected-gradient descent with a Barzilai-Borwein step and an Armijo
-backtracking safeguard. Agreement between these and the package is the
-point of the tests, so keep them independent.
+backtracking safeguard. The loop references (Laplacian assembly, KKT
+residuals, screening) visit one pair at a time in sorted order, with the
+same arithmetic as the package's vectorized code, so the two agree bit for
+bit. Agreement between these and the package is the point of the tests, so
+keep them independent.
 """
 from __future__ import annotations
 
@@ -25,6 +28,51 @@ def assemble_model_matrix(n, pairs, w, diag_vector=None, rank_one_shift=False):
     if rank_one_shift:
         T += 1.0 / n
     return T
+
+
+def joint_objective_oracle(n, pairs, w, q, S):
+    """-logdet(diag(q) + L(w)) + trace((diag(q) + L(w)) S)."""
+    T = assemble_model_matrix(n, pairs, w, diag_vector=q)
+    sign, logdet = np.linalg.slogdet(T)
+    return -logdet + float(np.sum(T * np.asarray(S, dtype=float)))
+
+
+def kkt_residuals_loop(n, pairs, w, q, q_min, S, tol, floor_tol=1e-12):
+    """(max edge residual, max vertex residual, complementarity violations)
+    of a joint graph, one pair and one vertex at a time."""
+    S = np.asarray(S, dtype=float)
+    phi = np.linalg.inv(assemble_model_matrix(n, pairs, w, diag_vector=q))
+    phi = (phi + phi.T) / 2.0
+    weight = dict(zip(pairs, w))
+    max_edge = 0.0
+    violations = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            h = S[i, i] + S[j, j] - 2.0 * S[i, j]
+            r = phi[i, i] + phi[j, j] - 2.0 * phi[i, j]
+            gap = 1.0 / h - 1.0 / r
+            if weight.get((i, j), 0.0) > 0.0:
+                max_edge = max(max_edge, abs(gap))
+            else:
+                if gap > tol:
+                    violations += 1
+                max_edge = max(max_edge, max(gap, 0.0))
+    max_vertex = 0.0
+    for i in range(n):
+        gap = 1.0 / S[i, i] - 1.0 / phi[i, i]
+        if q[i] > q_min + floor_tol:
+            max_vertex = max(max_vertex, abs(gap))
+        else:
+            if gap > tol:
+                violations += 1
+            max_vertex = max(max_vertex, max(gap, 0.0))
+    return float(max_edge), float(max_vertex), violations
+
+
+def screen_pairs_loop(S):
+    """Pairs (i, j), i < j, with a strictly positive covariance entry."""
+    n = S.shape[0]
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if S[i, j] > 0]
 
 
 def generalized_eigh_oracle(L, q):

@@ -174,6 +174,23 @@ class TestRunExperiment:
         assert len(table.rows) == 1
         assert np.isfinite(table.rows[0].epsilon_w)
 
+    def test_unconverged_trials_kept_with_one_warning_per_cell(self):
+        import covgraph.bench as bench
+
+        config = LearnConfig(max_epochs=1)
+        with pytest.warns(UserWarning) as record:
+            table = run_experiment(
+                [0.5, 1.0], n=6, trials=2, base_seed=0, methods=("joint",), config=config
+            )
+        messages = [str(w.message) for w in record if "max_epochs" in str(w.message)]
+        assert len(messages) == 2
+        assert messages[0].startswith("2 of 2 trials for method=joint r=0.5 ")
+        assert messages[1].startswith("2 of 2 trials for method=joint r=1.0 ")
+        for row in table.rows:
+            trials = [bench._run_trial("joint", row.r, 6, k, config) for k in (0, 1)]
+            assert all(not converged for _, converged in trials)
+            assert row.epsilon_w == float(np.mean([m.epsilon_w for m, _ in trials]))
+
     def test_parallel_matches_sequential(self):
         seq = run_experiment([0.5], n=6, trials=2, base_seed=3, config=self.CONFIG)
         par = run_experiment([0.5], n=6, trials=2, base_seed=3, config=self.CONFIG, parallel=2)

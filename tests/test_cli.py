@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from covgraph import build_graph
 from covgraph import io as cio
 from covgraph.cli import main
 from _support import kernel_spd_covariance
@@ -42,6 +43,20 @@ class TestSynth:
                      "--out-cov", str(tmp_path / "c.csv"), "--bogus", "1")
         assert status == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestExitStatus:
+    def test_numerical_failure_exits_two(self, tmp_path, monkeypatch, capsys):
+        # numpy's LinAlgError subclasses ValueError; it must still map to 2.
+        graph = tmp_path / "graph.json"
+        cio.write_graph_json(graph, build_graph(3, [(0, 1, 1.0)], q=np.ones(3), q_min=0.01))
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic singular matrix")
+
+        monkeypatch.setattr("covgraph.cli.compute_gft", singular)
+        assert run("gft", "--graph", str(graph)) == 2
+        assert "numerical failure: synthetic singular matrix" in capsys.readouterr().err
 
 
 class TestLearn:

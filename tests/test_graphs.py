@@ -1,6 +1,8 @@
 """Graph container, validation, and Laplacian algebra tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgraph import (
     CovarianceMatrix,
@@ -11,6 +13,21 @@ from covgraph import (
     incidence_vector,
     laplacian,
 )
+from covgraph.graphs import endpoint_arrays, laplacian_from_pairs
+from oracles import assemble_model_matrix
+
+
+@st.composite
+def sorted_weighted_pairs(draw, max_n=12):
+    """(n, pairs, w): a random subset of all_pairs(n) in sorted order, with
+    nonnegative weights spanning many magnitudes so summation order shows."""
+    n = draw(st.integers(1, max_n))
+    pairs = all_pairs(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = [p for p, k in zip(pairs, keep) if k]
+    weight = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+    w = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
+    return n, chosen, w
 
 
 class TestBuildGraph:
@@ -111,6 +128,14 @@ class TestLaplacian:
             L = laplacian(g)
             np.testing.assert_array_equal(L @ np.ones(n), np.zeros(n))
             np.testing.assert_array_equal(L, L.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sorted_weighted_pairs())
+    def test_from_pairs_bit_identical_to_loop_assembly(self, case):
+        n, pairs, w = case
+        L = laplacian_from_pairs(n, *endpoint_arrays(pairs), w)
+        expected = assemble_model_matrix(n, pairs, w)
+        assert L.tobytes() == expected.tobytes()
 
 
 class TestIncidenceVector:

@@ -17,7 +17,7 @@ from covgraph import (
     learn_joint,
 )
 from covgraph.graphs import laplacian_from_pairs
-from covgraph.learn import epoch
+from covgraph.learn import epoch, learn
 from _support import edge_weight_map, kernel_spd_covariance
 from oracles import minimize_baseline_objective, minimize_joint_objective
 
@@ -47,6 +47,25 @@ class TestJointClosedForm:
     def test_rejects_mismatched_method(self):
         with pytest.raises(GraphValidationError, match="method"):
             learn_joint(S2, LearnConfig(method="baseline"))
+
+
+class TestLearnEntryPoint:
+    @pytest.mark.parametrize(
+        "method, wrapper", [("joint", learn_joint), ("baseline", learn_cgl_baseline)]
+    )
+    def test_same_result_as_fixed_method_wrapper(self, method, wrapper):
+        S = kernel_spd_covariance(6, seed=808)
+        config = LearnConfig(method=method)
+        a, b = learn(S, config), wrapper(S, config)
+        assert a.graph.edges == b.graph.edges
+        assert (a.graph.q is None) == (method == "baseline") == (b.graph.q is None)
+        if a.graph.q is not None:
+            assert a.graph.q.tobytes() == b.graph.q.tobytes()
+        assert a.objective == b.objective
+        assert a.epochs_run == b.epochs_run
+
+    def test_default_config_is_joint(self):
+        assert learn(S2).graph.edges == learn_joint(S2).graph.edges
 
 
 class TestBaseline:

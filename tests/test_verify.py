@@ -8,9 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgraph import (
     LearnConfig,
+    all_pairs,
     baseline_variogram_edge_bound,
     bound_report,
     build_graph,
@@ -22,6 +25,7 @@ from covgraph import (
     variogram_edge_bound,
 )
 from _support import edge_weight_map, kernel_spd_covariance, mixed_sign_spd_covariance
+from oracles import joint_objective_oracle, kkt_residuals_loop, screen_pairs_loop
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -92,6 +96,15 @@ class TestScreening:
         S = kernel_spd_covariance(6, seed=9)
         assert len(screen_edges(S)) == 15
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    def test_matches_pair_loop(self, n, seed):
+        # Off-diagonals in {-1, 0, 1}: screening needs a valid covariance
+        # (symmetric, positive diagonal), not a definite one.
+        upper = np.triu(np.random.default_rng(seed).integers(-1, 2, size=(n, n)), k=1)
+        S = (upper + upper.T + np.eye(n)).astype(float)
+        assert screen_edges(S) == screen_pairs_loop(S)
+
 
 class TestKktReport:
     def test_converged_result_passes(self):
@@ -120,6 +133,34 @@ class TestKktReport:
         assert w.get((0, 2), 0.0) <= 1e-8
         report = kkt_report(result, S, tol=1e-6)
         assert report.passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([1e-6, 1e-2, 0.3, 10.0]),
+    )
+    def test_matches_pair_loop_reference(self, n, seed, tol):
+        # Random joint graphs (far from optimal, so every branch of the
+        # residual and violation counting is hit), some importances floored.
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, 2 * n))
+        S = A @ A.T / (2 * n) + 0.5 * np.eye(n)
+        S = (S + S.T) / 2.0
+        q_min = 0.05
+        q = np.where(rng.random(n) < 0.3, q_min, rng.uniform(q_min, 3.0, size=n))
+        edges = [
+            (i, j, float(rng.uniform(0.0, 2.0))) for i, j in all_pairs(n) if rng.random() < 0.5
+        ]
+        graph = build_graph(n, edges, q=q, q_min=q_min)
+        report = kkt_report(graph, S, tol=tol)
+        pairs = [(i, j) for i, j, _ in graph.edges]
+        expected = kkt_residuals_loop(n, pairs, graph.weights(), graph.q, q_min, S, tol)
+        assert (
+            report.max_edge_residual,
+            report.max_vertex_residual,
+            report.complementarity_violations,
+        ) == expected
 
     def test_agrees_with_independent_stationarity_check(self):
         # Same instance as the learner-side stationarity test.
@@ -178,9 +219,11 @@ class TestTrim:
         assert count == 1
         assert (i, j) not in edge_weight_map(trimmed.graph)
         # Objective recomputed by direct evaluation on the trimmed graph.
-        from covgraph.verify import _joint_objective
-
-        assert trimmed.objective == pytest.approx(_joint_objective(trimmed.graph, S.entries))
+        g = trimmed.graph
+        expected = joint_objective_oracle(
+            4, [(i, j) for i, j, _ in g.edges], g.weights(), g.q, S.entries
+        )
+        assert trimmed.objective == pytest.approx(expected)
 
 
 class TestOptimalSupportProperties:
