@@ -152,6 +152,14 @@ def _run_trial(method, r, n, seed, template: LearnConfig):
     return compute_metrics(result, method=method, r=r), result.converged
 
 
+def _attempt_trial(task):
+    """``_run_trial(*task)``, or the numerical failure it raised."""
+    try:
+        return _run_trial(*task)
+    except (SingularModelError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
 def _mean_or_none(values):
     values = [v for v in values if v is not None]
     return float(np.mean(values)) if values else None
@@ -188,21 +196,12 @@ def run_experiment(
         for k in range(trials)
     ]
 
-    outcomes = {}
     if parallel and parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = {pool.submit(_run_trial, *task): task for task in tasks}
-            for future, task in futures.items():
-                try:
-                    outcomes[task[:4]] = future.result()
-                except (SingularModelError, np.linalg.LinAlgError) as exc:
-                    outcomes[task[:4]] = exc
+            results = list(pool.map(_attempt_trial, tasks))
     else:
-        for task in tasks:
-            try:
-                outcomes[task[:4]] = _run_trial(*task)
-            except (SingularModelError, np.linalg.LinAlgError) as exc:
-                outcomes[task[:4]] = exc
+        results = list(map(_attempt_trial, tasks))
+    outcomes = {task[:4]: result for task, result in zip(tasks, results)}
 
     rows = []
     for method in methods:

@@ -122,29 +122,25 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_gft(args):
+def _spectrum(args):
+    """Fourier basis of ``args.graph``; a graph without importances uses q = 1."""
     graph = io.read_graph_json(args.graph)
-    q = np.ones(graph.n) if graph.q is None else graph.q
-    if graph.q is None:
+    q = graph.q
+    if q is None:
         print("graph has no importances; using the plain dot product", file=sys.stderr)
-    spectrum = compute_gft(laplacian(graph), q)
-    if args.out_spectrum:
-        io.write_spectrum_csv(args.out_spectrum, spectrum)
-    else:
-        sys.stdout.write(io._rows_to_text([spectrum.lambdas, *spectrum.modes]))
+        q = np.ones(graph.n)
+    return compute_gft(laplacian(graph), q)
+
+
+def _cmd_gft(args):
+    io.write_spectrum_csv(args.out_spectrum or sys.stdout, _spectrum(args))
     return 0
 
 
 def _cmd_sample(args):
-    graph = io.read_graph_json(args.graph)
-    q = np.ones(graph.n) if graph.q is None else graph.q
-    spectrum = compute_gft(laplacian(graph), q)
     psd = joint_model_psd if args.psd == "joint" else laplacian_model_psd
-    signals = sample_stationary_signals(spectrum, psd, args.count, args.seed)
-    if args.out:
-        io.write_signals_csv(args.out, signals)
-    else:
-        sys.stdout.write(io._rows_to_text(signals))
+    signals = sample_stationary_signals(_spectrum(args), psd, args.count, args.seed)
+    io.write_signals_csv(args.out or sys.stdout, signals)
     return 0
 
 
@@ -169,20 +165,14 @@ def _cmd_experiment(args):
         config=config,
         parallel=args.parallel,
     )
-    if args.out:
-        io.write_experiment_csv(args.out, table)
-    else:
-        sys.stdout.write(io.experiment_table_to_csv(table))
+    io.write_experiment_csv(args.out or sys.stdout, table)
     return 0
 
 
 def _cmd_bounds(args):
     ranges = _parse_floats(args.ranges)
     d_grid, curves = bound_curves(ranges, sill=args.sill, d_max=args.d_max, steps=args.steps)
-    if args.out:
-        io.write_bound_curves_csv(args.out, d_grid, curves)
-    else:
-        sys.stdout.write(io.bound_curves_to_csv(d_grid, curves))
+    io.write_bound_curves_csv(args.out or sys.stdout, d_grid, curves)
     return 0
 
 

@@ -1,6 +1,8 @@
 """File formats: covariance/points/signals CSV, graph JSON and its learning
 sidecar, verification reports, and benchmark tables.
 
+Every writer takes its destination first: a file path, or an open text
+stream such as ``sys.stdout``, which receives the same bytes the file would.
 All floating-point values are serialized with Python's shortest round-trip
 decimal representation (``repr``), so a write/read cycle reproduces every
 finite double bit-exactly.
@@ -8,6 +10,7 @@ finite double bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +27,37 @@ def _rows_to_text(rows) -> str:
     return "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
 
 
-def write_covariance_csv(path, S) -> None:
+def _write(dest, text) -> None:
+    """Write ``text`` to a file path or to an open text stream."""
+    if isinstance(dest, (str, os.PathLike)):
+        Path(dest).write_text(text, encoding="utf-8")
+    else:
+        dest.write(text)
+
+
+def _write_json(dest, payload) -> None:
+    _write(dest, json.dumps(payload, indent=2) + "\n")
+
+
+def _read_rows(path, what) -> list:
+    """Float rows of a comma-separated file; blank lines are skipped."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        return [[float(v) for v in line.split(",")] for line in lines if line.strip()]
+    except ValueError as exc:
+        raise GraphValidationError(f"{path}: non-numeric {what} ({exc})") from exc
+
+
+def write_covariance_csv(dest, S) -> None:
     entries = S.entries if isinstance(S, CovarianceMatrix) else np.asarray(S, dtype=float)
-    Path(path).write_text(_rows_to_text(entries), encoding="utf-8")
+    _write(dest, _rows_to_text(entries))
 
 
 def read_covariance_csv(path) -> CovarianceMatrix:
     """Parse an n x n comma-separated matrix (no header) and validate it."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows = [line for line in lines if line.strip()]
-    if not rows:
+    values = _read_rows(path, "covariance entry")
+    if not values:
         raise GraphValidationError(f"{path}: empty covariance file")
-    try:
-        values = [[float(v) for v in row.split(",")] for row in rows]
-    except ValueError as exc:
-        raise GraphValidationError(f"{path}: non-numeric covariance entry ({exc})") from exc
     n = len(values[0])
     if len(values) != n or any(len(row) != n for row in values):
         raise GraphValidationError(
@@ -48,16 +67,12 @@ def read_covariance_csv(path) -> CovarianceMatrix:
     return CovarianceMatrix(entries=np.array(values))
 
 
-def write_points_csv(path, points) -> None:
-    Path(path).write_text(_rows_to_text(np.asarray(points, dtype=float)), encoding="utf-8")
+def write_points_csv(dest, points) -> None:
+    _write(dest, _rows_to_text(np.asarray(points, dtype=float)))
 
 
 def read_points_csv(path) -> np.ndarray:
-    rows = [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
-    try:
-        points = np.array([[float(v) for v in row.split(",")] for row in rows])
-    except ValueError as exc:
-        raise GraphValidationError(f"{path}: non-numeric coordinate ({exc})") from exc
+    points = np.array(_read_rows(path, "coordinate"))
     if points.ndim != 2 or points.shape[1] != 2:
         raise GraphValidationError(f"{path}: expected two coordinates per line")
     return points
@@ -86,8 +101,8 @@ def graph_from_dict(data: dict) -> Graph:
     return build_graph(n, edges, q=q, q_min=q_min)
 
 
-def write_graph_json(path, graph: Graph) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(graph), indent=2) + "\n", encoding="utf-8")
+def write_graph_json(dest, graph: Graph) -> None:
+    _write_json(dest, graph_to_dict(graph))
 
 
 def read_graph_json(path) -> Graph:
@@ -106,40 +121,29 @@ def meta_path_for(graph_path) -> Path:
     return Path(str(p) + ".meta.json")
 
 
-def write_learn_meta_json(path, result) -> None:
+def write_learn_meta_json(dest, result) -> None:
     payload = {
         "objective": float(result.objective),
         "epochs": int(result.epochs_run),
         "converged": bool(result.converged),
         "wall_time_s": float(result.wall_time_seconds),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(dest, payload)
 
 
-def write_signals_csv(path, signals) -> None:
+def write_signals_csv(dest, signals) -> None:
     """One signal per row."""
-    Path(path).write_text(_rows_to_text(np.asarray(signals, dtype=float)), encoding="utf-8")
+    _write(dest, _rows_to_text(np.asarray(signals, dtype=float)))
 
 
-def write_spectrum_csv(path, spectrum) -> None:
+def write_spectrum_csv(dest, spectrum) -> None:
     """First line: eigenvalues; then the n x n matrix of modes, row by row."""
-    rows = [spectrum.lambdas] + [row for row in spectrum.modes]
-    Path(path).write_text(_rows_to_text(rows), encoding="utf-8")
+    _write(dest, _rows_to_text([spectrum.lambdas, *spectrum.modes]))
 
 
-def kkt_report_to_dict(report) -> dict:
-    return {
-        "tol": report.tol,
-        "max_edge_residual": report.max_edge_residual,
-        "max_vertex_residual": report.max_vertex_residual,
-        "complementarity_violations": report.complementarity_violations,
-        "m_matrix_ok": report.m_matrix_ok,
-        "passed": report.passed,
-    }
-
-
-def write_kkt_json(path, report) -> None:
-    Path(path).write_text(json.dumps(kkt_report_to_dict(report), indent=2) + "\n", encoding="utf-8")
+def write_kkt_json(dest, report) -> None:
+    """The :class:`~covgraph.verify.KKTReport` fields, in declaration order."""
+    _write_json(dest, vars(report))
 
 
 def bound_report_to_dict(report) -> dict:
@@ -150,29 +154,15 @@ def bound_report_to_dict(report) -> dict:
             "applicable": report.n_applicable,
             "violated": report.n_violated,
         },
-        "edges": [
-            {
-                "i": rec.i,
-                "j": rec.j,
-                "w": rec.w,
-                "rho": rec.rho,
-                "bound": rec.bound,
-                "applicable": rec.applicable,
-                "violated": rec.violated,
-                "excess": rec.excess,
-            }
-            for rec in report.records
-        ],
+        "edges": [dict(vars(rec)) for rec in report.records],
     }
 
 
-def write_bound_report_json(path, report) -> None:
-    Path(path).write_text(
-        json.dumps(bound_report_to_dict(report), indent=2) + "\n", encoding="utf-8"
-    )
+def write_bound_report_json(dest, report) -> None:
+    _write_json(dest, bound_report_to_dict(report))
 
 
-def write_bound_table_csv(path, report, points=None) -> None:
+def write_bound_table_csv(dest, report, points=None) -> None:
     """Per-edge bound table: i,j,d,w,bound,violated. The distance column is
     NaN unless vertex coordinates are supplied."""
     lines = ["i,j,d,w,bound,violated\n"]
@@ -184,7 +174,7 @@ def write_bound_table_csv(path, report, points=None) -> None:
         lines.append(
             f"{rec.i},{rec.j},{_fmt(d)},{_fmt(rec.w)},{_fmt(rec.bound)},{int(rec.violated)}\n"
         )
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    _write(dest, "".join(lines))
 
 
 def experiment_table_to_csv(table) -> str:
@@ -199,8 +189,8 @@ def experiment_table_to_csv(table) -> str:
     return "".join(lines)
 
 
-def write_experiment_csv(path, table) -> None:
-    Path(path).write_text(experiment_table_to_csv(table), encoding="utf-8")
+def write_experiment_csv(dest, table) -> None:
+    _write(dest, experiment_table_to_csv(table))
 
 
 def bound_curves_to_csv(d_grid, curves) -> str:
@@ -212,5 +202,5 @@ def bound_curves_to_csv(d_grid, curves) -> str:
     return "".join(lines)
 
 
-def write_bound_curves_csv(path, d_grid, curves) -> None:
-    Path(path).write_text(bound_curves_to_csv(d_grid, curves), encoding="utf-8")
+def write_bound_curves_csv(dest, d_grid, curves) -> None:
+    _write(dest, bound_curves_to_csv(d_grid, curves))

@@ -54,7 +54,6 @@ class LearnConfig:
     init_value: float | None = None
     points: np.ndarray | None = None
     init_weights: dict | None = None
-    q_init: float = 1.0
     refresh_every: int = 50
     screen: bool = False
 
@@ -69,8 +68,6 @@ class LearnConfig:
             raise GraphValidationError("max_epochs must be at least 1")
         if not self.q_min > 0:
             raise GraphValidationError("q_min must be positive")
-        if not self.q_init > 0:
-            raise GraphValidationError("q_init must be positive")
 
 
 @dataclass
@@ -79,8 +76,7 @@ class LearnResult:
 
     ``history`` holds the objective at initialization and after each epoch;
     ``converged`` is True only when the stop tolerance was met (hitting
-    ``max_epochs`` reports False). ``kkt`` stays None until an optimality
-    report is attached by the verification tools.
+    ``max_epochs`` reports False).
     """
 
     graph: Graph
@@ -89,7 +85,6 @@ class LearnResult:
     converged: bool
     wall_time_seconds: float
     history: list = field(default_factory=list)
-    kkt: object = None
 
 
 def epoch(state: SolverState) -> float:
@@ -176,8 +171,9 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
     """Learn a graph from a covariance with the method ``config.method``.
 
     ``"joint"`` minimizes -logdet(diag(q) + L) + trace((diag(q) + L) S)
-    over w >= 0 and q >= q_min; the model matrix is always positive
-    definite, so no connectivity restriction applies to the updates.
+    over w >= 0 and q >= q_min, starting every importance at 1; the model
+    matrix is always positive definite, so no connectivity restriction
+    applies to the updates.
     ``"baseline"`` minimizes -logdet(L + J/n) + trace(L S) over w >= 0;
     the initial graph must be connected, and updates are clipped away from
     the disconnection singularity of L + J/n. The default config is joint.
@@ -188,7 +184,7 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
     pairs = _active_pairs(cov.entries, config)
     w0 = _initial_weights(cov.n, pairs, config)
     if config.method == "joint":
-        q0, q_min = config.q_init, config.q_min
+        q0, q_min = 1.0, config.q_min
     else:
         q0 = q_min = None
 

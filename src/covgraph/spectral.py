@@ -72,11 +72,8 @@ def compute_gft(L, q) -> Spectrum:
     lam = np.maximum(lam, 0.0)
     U = rootinv[:, None] * Y
 
-    for col in range(n):
-        u = U[:, col]
-        nz = np.nonzero(np.abs(u) > 1e-12)[0]
-        if nz.size and u[nz[0]] < 0:
-            U[:, col] = -u
+    first = np.argmax(np.abs(U) > 1e-12, axis=0)
+    U[:, U[first, np.arange(n)] < 0] *= -1.0
 
     return Spectrum(lambdas=_frozen_array(lam), modes=_frozen_array(U), q=_frozen_array(q))
 

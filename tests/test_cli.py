@@ -255,3 +255,35 @@ class TestExperimentAndBounds:
     def test_unknown_method_rejected(self, capsys):
         assert run("experiment", "--methods", "magic", "--trials", "1", "--n", "5") == 1
         assert "unknown method" in capsys.readouterr().err
+
+
+def _without_time_column(text):
+    return [line.rsplit(",", 1)[0] for line in text.split("\n")]
+
+
+@pytest.mark.parametrize(
+    "command, out_flag, argv",
+    [
+        ("gft", "--out-spectrum", ()),
+        ("sample", "--out", ("--count", "4", "--seed", "2")),
+        ("experiment", "--out", ("--ranges", "0.5", "--n", "6", "--trials", "1",
+                                 "--max-epochs", "50")),
+        ("bounds", "--out", ("--ranges", "0.1", "--steps", "5")),
+    ],
+)
+def test_stdout_matches_output_file(tmp_path, synth_files, capsys, command, out_flag, argv):
+    cov, pts = synth_files
+    if command in ("gft", "sample"):
+        graph = tmp_path / "graph.json"
+        assert run("learn", "--cov", str(cov), "--points", str(pts), "--out", str(graph)) == 0
+        argv = ("--graph", str(graph), *argv)
+    out = tmp_path / "out.csv"
+    assert run(command, *argv, out_flag, str(out)) == 0
+    capsys.readouterr()
+    assert run(command, *argv) == 0
+    written, printed = out.read_text(), capsys.readouterr().out
+    assert printed
+    if command == "experiment":
+        # Wall time differs between the two runs; every other column may not.
+        written, printed = _without_time_column(written), _without_time_column(printed)
+    assert printed == written

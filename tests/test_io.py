@@ -134,12 +134,20 @@ class TestReportsAndTables:
         cio.write_kkt_json(kkt_path, kkt_report(result, S))
         kkt_data = json.loads(kkt_path.read_text())
         assert kkt_data["passed"] is True
+        assert list(kkt_data) == [
+            "tol", "max_edge_residual", "max_vertex_residual",
+            "complementarity_violations", "m_matrix_ok", "passed",
+        ]
 
         bounds_path = tmp_path / "bounds.json"
         cio.write_bound_report_json(bounds_path, bound_report(result, S))
         bound_data = json.loads(bounds_path.read_text())
         assert bound_data["summary"]["violated"] == 0
         assert len(bound_data["edges"]) == len(result.graph.edges)
+        assert list(bound_data) == ["tol", "summary", "edges"]
+        assert list(bound_data["edges"][0]) == [
+            "i", "j", "w", "rho", "bound", "applicable", "violated", "excess",
+        ]
 
     def test_bound_table_csv(self, tmp_path):
         from covgraph import bound_report
