@@ -4,15 +4,19 @@ Nothing here touches the package's solver machinery: matrices are
 assembled from scratch, eigenproblems go through SciPy, and the minimizers
 are projected-gradient descent with a Barzilai-Borwein step and an Armijo
 backtracking safeguard. The loop references (Laplacian assembly, KKT
-residuals, screening) visit one pair at a time in sorted order, with the
-same arithmetic as the package's vectorized code, so the two agree bit for
-bit. Agreement between these and the package is the point of the tests, so
-keep them independent.
+residuals, screening, the edge sweep) visit one pair at a time in sorted
+order, with the same arithmetic as the package's vectorized code, so the
+two agree bit for bit. Agreement between these and the package is the
+point of the tests, so keep them independent.
 """
 from __future__ import annotations
 
+from math import log1p
+
 import numpy as np
 import scipy.linalg
+
+from covgraph.solver import BASELINE_SINGULARITY_TOL, MODE_BASELINE
 
 
 def assemble_model_matrix(n, pairs, w, diag_vector=None, rank_one_shift=False):
@@ -67,6 +71,39 @@ def kkt_residuals_loop(n, pairs, w, q, q_min, S, tol, floor_tol=1e-12):
                 violations += 1
             max_vertex = max(max_vertex, max(gap, 0.0))
     return float(max_edge), float(max_vertex), violations
+
+
+def sweep_edges_loop(state):
+    """One edge sweep of a solver state, one edge at a time in sorted order,
+    with a freshly allocated outer product per update; returns the
+    objective change. Mutates ``state`` as ``covgraph.solver.sweep_edges``
+    does."""
+    before = state.objective
+    phi = state.phi
+    for e, (i, j) in enumerate(state.pairs):
+        r = phi[i, i] + phi[j, j] - 2.0 * phi[i, j]
+        h = state.edge_costs[e]
+        we = state.w[e]
+        delta = 1.0 / h - 1.0 / r
+        clamped = delta <= -we
+        if clamped:
+            delta = -we
+        if delta == 0.0:
+            continue
+        denom = 1.0 + delta * r
+        if state.mode == MODE_BASELINE and denom < BASELINE_SINGULARITY_TOL:
+            delta = (BASELINE_SINGULARITY_TOL - 1.0) / r
+            denom = 1.0 + delta * r
+            clamped = False
+            state.singularity_clips += 1
+            if delta == 0.0:
+                continue
+        v = phi[i] - phi[j]
+        phi -= (delta / denom) * np.outer(v, v)
+        state.w[e] = 0.0 if clamped else we + delta
+        state.objective += delta * h - log1p(delta * r)
+        state.updates_since_refresh += 1
+    return state.objective - before
 
 
 def screen_pairs_loop(S):

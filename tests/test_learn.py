@@ -16,10 +16,12 @@ from covgraph import (
     learn_cgl_baseline,
     learn_joint,
 )
+import covgraph.learn
+from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
 from covgraph.graphs import laplacian_from_pairs
 from covgraph.learn import epoch, learn
 from _support import edge_weight_map, kernel_spd_covariance
-from oracles import minimize_baseline_objective, minimize_joint_objective
+from oracles import minimize_baseline_objective, minimize_joint_objective, sweep_edges_loop
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 F2_STAR = np.log(0.75) + 2.0  # logdet(S) + n at theta = S^{-1}
@@ -181,6 +183,23 @@ class TestRunBehavior:
                 assert abs(gap) <= 1e-6
             else:
                 assert gap <= 1e-6
+
+
+@pytest.mark.parametrize("method", ["joint", "baseline"])
+def test_learn_with_per_edge_sweep_is_bit_identical(monkeypatch, method):
+    # The zero-run scan of sweep_edges must not change a single bit of a
+    # learned graph: rerun with the per-edge loop swapped in and compare.
+    sample = sample_locations(30, seed=0)
+    S = variogram_covariance(sample, VariogramSpec(range_=1.0))
+    config = LearnConfig(method=method, init="kernel", points=sample.points)
+    scanned = learn(S, config)
+    monkeypatch.setattr(covgraph.learn, "sweep_edges", sweep_edges_loop)
+    looped = learn(S, config)
+    assert scanned.graph.edges == looped.graph.edges
+    q = [b"" if r.graph.q is None else r.graph.q.tobytes() for r in (scanned, looped)]
+    assert q[0] == q[1]
+    assert scanned.history == looped.history
+    assert scanned.epochs_run == looped.epochs_run
 
 
 class TestInitModes:

@@ -2,12 +2,16 @@
 inverse, objective bookkeeping, and the refresh path.
 
 Oracle: direct dense inversion (SciPy) of the freshly assembled model
-matrix, plus hand-derived update values on two-node instances.
+matrix, hand-derived update values on two-node instances, and the
+per-edge sweep loop of ``oracles.py`` for the edge sweep.
 """
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgraph import (
     GraphValidationError,
@@ -23,8 +27,9 @@ from covgraph import (
 )
 from covgraph.learn import epoch, kernel_weights
 from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
+from covgraph.solver import _MIN_SCAN_RUN, sweep_edges
 from _support import kernel_spd_covariance
-from oracles import direct_inverse_oracle
+from oracles import direct_inverse_oracle, sweep_edges_loop
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -273,3 +278,86 @@ class TestEpochInvariant:
             epoch(state)
             assert np.all(state.w >= 0.0)
             assert np.all(state.q >= 0.05)
+
+
+@st.composite
+def zero_run_states(draw):
+    """A joint or baseline state whose weights alternate between runs of
+    zeros and runs of positive weights. Runs are drawn shorter and longer
+    than the sweep's scan threshold and can sit at the start, middle or end
+    of the pair list; one long run makes every weight zero. A baseline state
+    keeps the last pair of every row, (i, n-1), positive so that its graph
+    stays connected."""
+    mode = draw(st.sampled_from(["joint", "baseline"]))
+    n = draw(st.integers(1, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pairs = all_pairs(n)
+    m = len(pairs)
+    w = np.zeros(m)
+    zero = draw(st.booleans())
+    start = 0
+    for length in draw(st.lists(st.integers(1, 2 * _MIN_SCAN_RUN + 3), max_size=12)):
+        if not zero:
+            w[start:start + length] = rng.uniform(0.01, 1.0, size=w[start:start + length].shape)
+        start += length
+        zero = not zero
+    if start < m and not zero:
+        w[start:] = rng.uniform(0.01, 1.0, size=m - start)
+    S = kernel_spd_covariance(n, seed=seed)
+    if mode == "joint":
+        return init_state(S, pairs, w, q0=1.0, q_min=1e-4)
+    for e, (i, j) in enumerate(pairs):
+        if j == n - 1:
+            w[e] = max(w[e], 0.05)
+    return init_state(S, pairs, w)
+
+
+def assert_sweeps_match_loop(state, sweeps=3):
+    """Each of ``sweeps`` consecutive sweeps leaves the state bit for bit as
+    the per-edge loop does."""
+    reference = copy.deepcopy(state)
+    for _ in range(sweeps):
+        change = sweep_edges(state)
+        expected = sweep_edges_loop(reference)
+        assert np.float64(change).tobytes() == np.float64(expected).tobytes()
+        assert state.phi.tobytes() == reference.phi.tobytes()
+        assert state.w.tobytes() == reference.w.tobytes()
+        assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
+        assert state.updates_since_refresh == reference.updates_since_refresh
+        assert state.singularity_clips == reference.singularity_clips
+
+
+class TestEdgeSweepMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(zero_run_states())
+    def test_zero_runs(self, state):
+        assert_sweeps_match_loop(state)
+
+    @pytest.mark.parametrize("n", [2, 9, 14])
+    def test_all_zero_weights(self, n):
+        S = kernel_spd_covariance(n, seed=n)
+        pairs = all_pairs(n)
+        assert_sweeps_match_loop(init_state(S, pairs, 0.0, q0=1.0, q_min=1e-4))
+
+    def test_no_active_pairs(self):
+        S = kernel_spd_covariance(4, seed=2)
+        assert_sweeps_match_loop(init_state(S, [], [], q0=1.0, q_min=1e-4))
+        assert_sweeps_match_loop(init_state(S.entries[:1, :1], [], []))
+
+    def test_nan_step_in_a_long_run_is_applied(self):
+        # A NaN step is not "<= -0.0": the loop applies it, and so must the scan.
+        n = 12
+        state = init_state(kernel_spd_covariance(n, seed=5), all_pairs(n), 0.0, q0=1.0, q_min=1e-4)
+        e = 3 * _MIN_SCAN_RUN // 2
+        i, j = state.pairs[e]
+        state.phi[i, j] = state.phi[j, i] = np.nan
+        assert_sweeps_match_loop(state, sweeps=1)
+        assert np.isnan(state.objective)
+
+    def test_baseline_singularity_clip(self):
+        state = init_state(S2, [(0, 1)], [1.0])
+        state.w[0] = 3e12
+        state.phi = np.array([[0.5 + 2.5e-13, 0.5], [0.5, 0.5 + 2.5e-13]])
+        assert_sweeps_match_loop(state, sweeps=1)
+        assert state.singularity_clips == 1
