@@ -166,11 +166,14 @@ def write_bound_table_csv(dest, report, points=None) -> None:
     """Per-edge bound table: i,j,d,w,bound,violated. The distance column is
     NaN unless vertex coordinates are supplied."""
     lines = ["i,j,d,w,bound,violated\n"]
-    for rec in report.records:
-        if points is not None:
-            d = float(np.hypot(*(np.asarray(points)[rec.i] - np.asarray(points)[rec.j])))
-        else:
-            d = float("nan")
+    records = report.records
+    if points is None:
+        dists = np.full(len(records), np.nan)
+    else:
+        points = np.asarray(points)
+        ends = np.array([(rec.i, rec.j) for rec in records], dtype=int).reshape(-1, 2)
+        dists = np.hypot(*(points[ends[:, 0]] - points[ends[:, 1]]).T)
+    for rec, d in zip(records, dists.tolist()):
         lines.append(
             f"{rec.i},{rec.j},{_fmt(d)},{_fmt(rec.w)},{_fmt(rec.bound)},{int(rec.violated)}\n"
         )

@@ -5,9 +5,10 @@ assembled from scratch, eigenproblems go through SciPy, and the minimizers
 are projected-gradient descent with a Barzilai-Borwein step and an Armijo
 backtracking safeguard. The loop references (Laplacian assembly, KKT
 residuals, screening, the edge sweep) visit one pair at a time in sorted
-order, with the same arithmetic as the package's vectorized code, so the
-two agree bit for bit. Agreement between these and the package is the
-point of the tests, so keep them independent.
+order, and the vertex sweep one vertex at a time in index order, with the
+same arithmetic as the package's vectorized code, so the two agree bit for
+bit. Agreement between these and the package is the point of the tests,
+so keep them independent.
 """
 from __future__ import annotations
 
@@ -102,6 +103,31 @@ def sweep_edges_loop(state):
         phi -= (delta / denom) * np.outer(v, v)
         state.w[e] = 0.0 if clamped else we + delta
         state.objective += delta * h - log1p(delta * r)
+        state.updates_since_refresh += 1
+    return state.objective - before
+
+
+def sweep_vertices_loop(state):
+    """One importance sweep of a joint solver state, one vertex at a time in
+    index order, clamping at ``q_min``, with a freshly allocated outer
+    product per update; returns the objective change. Mutates ``state`` as
+    ``covgraph.solver.sweep_vertices`` does."""
+    before = state.objective
+    phi = state.phi
+    for i in range(state.n):
+        u = phi[i, i]
+        p = state.S[i, i]
+        delta = 1.0 / p - 1.0 / u
+        floor_gap = state.q_min - state.q[i]
+        clamped = delta <= floor_gap
+        if clamped:
+            delta = floor_gap
+        if delta == 0.0:
+            continue
+        v = phi[i]
+        phi -= (delta / (1.0 + delta * u)) * np.outer(v, v)
+        state.q[i] = state.q_min if clamped else state.q[i] + delta
+        state.objective += delta * p - log1p(delta * u)
         state.updates_since_refresh += 1
     return state.objective - before
 

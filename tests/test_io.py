@@ -1,6 +1,7 @@
 """Serialization tests: every format must round-trip finite doubles
 bit-exactly (shortest round-trip decimal encoding)."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +162,14 @@ class TestReportsAndTables:
         lines = path.read_text().splitlines()
         assert lines[0] == "i,j,d,w,bound,violated"
         assert len(lines) == 1 + len(report.records)
+        # Each distance is the per-edge hypot of the endpoint difference.
+        for line, rec in zip(lines[1:], report.records):
+            assert line.split(",")[2] == repr(float(np.hypot(*(pts[rec.i] - pts[rec.j]))))
+
+        cio.write_bound_table_csv(path, report)
+        assert {line.split(",")[2] for line in path.read_text().splitlines()[1:]} == {"nan"}
+        cio.write_bound_table_csv(path, replace(report, records=[]), points=pts)
+        assert path.read_text() == "i,j,d,w,bound,violated\n"
 
     def test_experiment_csv_blank_for_absent(self):
         from covgraph import ExperimentTable, MetricsRow

@@ -3,7 +3,7 @@ inverse, objective bookkeeping, and the refresh path.
 
 Oracle: direct dense inversion (SciPy) of the freshly assembled model
 matrix, hand-derived update values on two-node instances, and the
-per-edge sweep loop of ``oracles.py`` for the edge sweep.
+per-coordinate sweep loops of ``oracles.py`` for the edge and vertex sweeps.
 """
 import copy
 import math
@@ -27,11 +27,15 @@ from covgraph import (
 )
 from covgraph.learn import epoch, kernel_weights
 from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
-from covgraph.solver import _MIN_SCAN_RUN, sweep_edges
+from covgraph.solver import _MIN_SCAN_RUN, _rank_one_update, sweep_edges, sweep_vertices
 from _support import kernel_spd_covariance
-from oracles import direct_inverse_oracle, sweep_edges_loop
+from oracles import direct_inverse_oracle, sweep_edges_loop, sweep_vertices_loop
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+def has_negative_zero(a):
+    return bool(np.any((a == 0.0) & np.signbit(a)))
 
 
 def joint_state(S, w0=None, q0=1.0, q_min=1e-4):
@@ -307,8 +311,14 @@ def zero_run_states(draw):
     S = kernel_spd_covariance(n, seed=seed)
     if mode == "joint":
         return init_state(S, pairs, w, q0=1.0, q_min=1e-4)
+    return connected_baseline_state(S, pairs, w)
+
+
+def connected_baseline_state(S, pairs, w):
+    """Baseline state with the weights of the pairs (i, n-1) raised to at
+    least 0.05, so that its graph is connected."""
     for e, (i, j) in enumerate(pairs):
-        if j == n - 1:
+        if j == S.n - 1:
             w[e] = max(w[e], 0.05)
     return init_state(S, pairs, w)
 
@@ -361,3 +371,90 @@ class TestEdgeSweepMatchesLoop:
         state.phi = np.array([[0.5 + 2.5e-13, 0.5], [0.5, 0.5 + 2.5e-13]])
         assert_sweeps_match_loop(state, sweeps=1)
         assert state.singularity_clips == 1
+
+    def test_disconnected_start_at_memory_bound_size(self):
+        state = disconnected_state()
+        assert not has_negative_zero(state.phi)
+        refresh_phi(state)
+        assert not has_negative_zero(state.phi)
+        assert_sweeps_match_loop(state)
+
+
+def disconnected_state(n=101):
+    """Joint state on all pairs whose starting graph is two blocks plus an
+    isolated vertex: phi holds exact zeros between them, so the v of an
+    update has zero entries beside entries of both signs and some products
+    v_a * v_b are -0.0."""
+    block = np.arange(n) * 2 // (n - 1)
+    pairs = all_pairs(n)
+    rng = np.random.default_rng(7)
+    w = np.array([
+        rng.uniform(0.001, 0.05) if block[i] == block[j] < 2 else 0.0 for i, j in pairs
+    ])
+    state = init_state(kernel_spd_covariance(n, seed=7), pairs, w, q0=0.01, q_min=1e-4)
+    assert np.count_nonzero(state.phi == 0.0) > 0
+    return state
+
+
+class TestRankOneUpdate:
+    @pytest.mark.parametrize("c", [0.37, -0.37])
+    def test_matches_outer_on_exact_zeros(self, c):
+        # The update stores a -0.0 product as +0.0; on a phi without -0.0
+        # that leaves every byte as phi - c * np.outer(v, v) gives it.
+        state = disconnected_state()
+        v = state.phi[0] - state.phi[1]
+        assert has_negative_zero(np.outer(v, v))
+        expected = state.phi - c * np.outer(v, v)
+        _rank_one_update(state, v, c)
+        assert state.phi.tobytes() == expected.tobytes()
+
+
+@st.composite
+def random_states(draw, modes=("joint", "baseline")):
+    """A joint or baseline state with random weights, some of them zero.
+    Joint importances sit at ``q_min`` or above it, with a floor from far
+    below the optimal importances (about 1/S_ii) to above them, so vertex
+    steps both move freely and clamp at the floor."""
+    mode = draw(st.sampled_from(modes))
+    n = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(seed)
+    pairs = all_pairs(n)
+    w = np.where(rng.random(len(pairs)) < density, rng.uniform(0.01, 1.0, len(pairs)), 0.0)
+    S = kernel_spd_covariance(n, seed=seed)
+    if mode == "baseline":
+        return connected_baseline_state(S, pairs, w)
+    q_min = draw(st.sampled_from([1e-4, 0.02, 0.5]))
+    q0 = q_min + np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 2.0, n))
+    return init_state(S, pairs, w, q0=q0, q_min=q_min)
+
+
+class TestVertexSweepMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(random_states(modes=("joint",)))
+    def test_matches_loop(self, state):
+        reference = copy.deepcopy(state)
+        for _ in range(3):
+            change = sweep_vertices(state)
+            expected = sweep_vertices_loop(reference)
+            assert np.float64(change).tobytes() == np.float64(expected).tobytes()
+            assert state.phi.tobytes() == reference.phi.tobytes()
+            assert state.q.tobytes() == reference.q.tobytes()
+            assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
+            assert state.updates_since_refresh == reference.updates_since_refresh
+
+
+class TestMonotoneDescent:
+    @settings(max_examples=100, deadline=None)
+    @given(random_states(), st.integers(1, 3))
+    def test_every_update_descends(self, state, sweeps):
+        updates = [lambda e=e: edge_update(state, e) for e in range(state.m)]
+        if state.mode == "joint":
+            updates += [lambda i=i: vertex_update(state, i) for i in range(state.n)]
+        for _ in range(sweeps):
+            for update in updates:
+                before = evaluate_objective(state)
+                upd = update()
+                assert upd.delta * upd.cost - math.log1p(upd.delta * upd.effective) <= 0.0
+                assert evaluate_objective(state) <= before + 1e-9 * abs(before)
