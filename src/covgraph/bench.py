@@ -183,14 +183,16 @@ def run_experiment(
     averages, with one warning per (method, range) giving their count. Rows
     are emitted baseline-first, ranges in the given order. ``parallel`` > 1
     runs trials in worker processes; results are merged in deterministic
-    trial order either way.
+    trial order either way. An unknown method raises
+    :class:`GraphValidationError` before any trial runs.
     """
     if trials < 1:
         raise GraphValidationError("trials must be at least 1")
     template = config or LearnConfig()
+    configs = {method: replace(template, method=method) for method in methods}
 
     tasks = [
-        (method, float(r), int(n), int(base_seed) + k, template)
+        (method, float(r), int(n), int(base_seed) + k, configs[method])
         for method in methods
         for r in ranges
         for k in range(trials)

@@ -68,7 +68,6 @@ def _learn_config(args, points):
         init_value=args.init_value,
         points=points,
         init_weights=init_weights,
-        refresh_every=args.refresh_every,
         screen=args.screen,
     )
 
@@ -147,15 +146,7 @@ def _cmd_sample(args):
 def _cmd_experiment(args):
     ranges = _parse_floats(args.ranges)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in ("baseline", "joint"):
-            raise CliError(f"unknown method {m!r}")
-    config = LearnConfig(
-        q_min=args.qmin,
-        stop_tol=args.tol,
-        max_epochs=args.max_epochs,
-        refresh_every=args.refresh_every,
-    )
+    config = LearnConfig(q_min=args.qmin, stop_tol=args.tol, max_epochs=args.max_epochs)
     table = run_experiment(
         ranges,
         n=args.n,
@@ -195,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmin", type=float, default=1e-4)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--refresh-every", type=int, default=50)
     p.add_argument("--screen", action="store_true")
     p.add_argument("--points")
     p.add_argument("--init", choices=("auto", "uniform", "kernel", "given"), default="auto")
@@ -239,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmin", type=float, default=1e-4)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--refresh-every", type=int, default=50)
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_experiment)

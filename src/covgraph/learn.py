@@ -10,7 +10,7 @@ every vertex importance in index order; the run stops once the objective
 improves by less than ``stop_tol`` over an epoch, or at ``max_epochs``.
 The epoch improvement is accumulated from the closed-form per-update
 changes, and the maintained inverse is recomputed from scratch every
-``refresh_every`` epochs and once more at the end, so rounding drift never
+``REFRESH_EVERY`` epochs and once more at the end, so rounding drift never
 reaches the reported result.
 """
 from __future__ import annotations
@@ -33,6 +33,9 @@ from .verify import screen_edges
 
 INIT_MODES = ("uniform", "kernel", "given")
 
+# Epochs between two from-scratch recomputations of the maintained inverse.
+REFRESH_EVERY = 50
+
 
 @dataclass
 class LearnConfig:
@@ -42,8 +45,7 @@ class LearnConfig:
     places ``init_value`` (default 1/n) on every active pair, ``"kernel"``
     uses a Gaussian kernel of the pairwise distances of ``points`` with
     bandwidth one third of the mean distance, and ``"given"`` reads weights
-    from the ``init_weights`` mapping {(i, j): w}. ``refresh_every=0``
-    disables periodic re-inversion (the final refresh still runs).
+    from the ``init_weights`` mapping {(i, j): w}.
     """
 
     method: str = "joint"
@@ -54,7 +56,6 @@ class LearnConfig:
     init_value: float | None = None
     points: np.ndarray | None = None
     init_weights: dict | None = None
-    refresh_every: int = 50
     screen: bool = False
 
     def __post_init__(self):
@@ -157,7 +158,7 @@ def _run(state: SolverState, config: LearnConfig):
     for _ in range(config.max_epochs):
         change = epoch(state)
         epochs += 1
-        if config.refresh_every and state.epoch_counter % config.refresh_every == 0:
+        if state.epoch_counter % REFRESH_EVERY == 0:
             refresh_phi(state)
         history.append(state.objective)
         if abs(change) < config.stop_tol:

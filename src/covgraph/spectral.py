@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import _frozen_array
+from .solver import model_inverse
 
 _SYM_TOL = 1e-10
 _ZERO_EIGENVALUE_TOL = 1e-10
@@ -99,12 +100,10 @@ def model_covariance(L, q) -> np.ndarray:
     """Covariance (diag(q) + L)^(-1) of the smooth stationary signal model.
 
     diag(q) + L is positive definite whenever q > 0, so the inverse always
-    exists; the result is symmetrized exactly.
+    exists; it is :func:`covgraph.solver.model_inverse`, symmetrized exactly.
     """
     L = _check_symmetric(L)
-    q = _check_importances(q, L.shape[0])
-    sigma = np.linalg.inv(np.diag(q) + L)
-    return (sigma + sigma.T) / 2.0
+    return model_inverse(L, _check_importances(q, L.shape[0]))
 
 
 def joint_model_psd(lam) -> np.ndarray:

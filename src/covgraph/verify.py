@@ -1,12 +1,13 @@
 """Optimality verification: edge-weight bounds, candidate screening,
 stationarity (KKT) checks, and bound-violation trimming.
 
-At a minimizer of the joint problem every coordinate is stationary: each
-positive weight has matching edge cost and effective resistance (1/h = 1/r),
-each zero weight has 1/h <= 1/r, and the analogous conditions hold for the
-importances against their floor. These checks are computed here from a
-freshly inverted model matrix, independently of the solver's maintained
-state, so the two paths cross-validate each other.
+At a minimizer of either model, joint diag(q) + L or baseline L + J/n,
+every coordinate is stationary: each positive weight has matching edge cost
+and effective resistance (1/h = 1/r), each zero weight has 1/h <= 1/r, and
+the analogous conditions hold for joint importances against their floor.
+``kkt_report`` checks both models from a freshly inverted model matrix,
+independently of the solver's maintained state, so the two paths
+cross-validate each other. The weight bounds are joint-model results.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import as_covariance, build_graph, laplacian
-from .solver import model_matrix, model_objective, pair_quadratic
+from .solver import model_inverse, model_objective, pair_quadratic
 
 # Importances are clamped to the floor exactly, so "at the floor" is an
 # equality test with a tiny absolute guard.
@@ -54,11 +55,12 @@ class BoundReport:
 
 @dataclass
 class KKTReport:
-    """Stationarity residuals of a learned joint graph at tolerance ``tol``.
+    """Stationarity residuals of a learned joint or baseline graph at
+    tolerance ``tol`` (``max_vertex_residual`` is 0.0 for a baseline graph).
 
     ``complementarity_violations`` counts coordinates sitting at their bound
     (zero weight or floored importance) whose one-sided optimality condition
-    fails; ``m_matrix_ok`` confirms the learned model matrix has no positive
+    fails; ``m_matrix_ok`` confirms the Laplacian has no positive
     off-diagonal entries.
     """
 
@@ -162,32 +164,33 @@ def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
 
 
 def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
-    """Verify first-order optimality of a joint result from scratch.
+    """Verify first-order optimality of a learned graph from scratch.
 
-    Rebuilds the model matrix, inverts it directly, and checks stationarity
-    of every vertex pair (not just stored edges) and every importance.
+    Inverts the model matrix directly (diag(q) + L with importances, the
+    baseline L + J/n without) and checks stationarity of every vertex pair
+    (not just stored edges) and every importance. A disconnected baseline
+    graph raises :class:`~covgraph.solver.SingularModelError`.
     """
     graph = _graph_of(result_or_graph)
-    if graph.q is None:
-        raise ValueError("optimality verification requires a graph with vertex importances")
     S = as_covariance(S).entries
-    n = graph.n
-    theta = model_matrix(laplacian(graph), graph.q)
-    phi = np.linalg.inv(theta)
-    phi = (phi + phi.T) / 2.0
+    L = laplacian(graph)
+    phi = model_inverse(L, graph.q)
 
-    idx_i, idx_j = np.triu_indices(n, k=1)
+    idx_i, idx_j = np.triu_indices(graph.n, k=1)
     edge_gap = 1.0 / pair_quadratic(S, idx_i, idx_j) - 1.0 / pair_quadratic(phi, idx_i, idx_j)
-    free_edge = theta[idx_i, idx_j] < 0.0  # the pairs carrying weight
-    vertex_gap = 1.0 / np.diag(S) - 1.0 / np.diag(phi)
-    free_vertex = graph.q > graph.q_min + FLOOR_TOL
-
+    off_diag = L[idx_i, idx_j]
+    free_edge = off_diag < 0.0  # the pairs carrying weight
     max_edge = _max_residual(edge_gap, free_edge)
-    max_vertex = _max_residual(vertex_gap, free_vertex)
     violations = int(np.count_nonzero(~free_edge & (edge_gap > tol)))
-    violations += int(np.count_nonzero(~free_vertex & (vertex_gap > tol)))
 
-    off_diag = theta - np.diag(np.diag(theta))
+    max_vertex = 0.0
+    if graph.q is not None:
+        vertex_gap = 1.0 / np.diag(S) - 1.0 / np.diag(phi)
+        free_vertex = graph.q > graph.q_min + FLOOR_TOL
+        max_vertex = _max_residual(vertex_gap, free_vertex)
+        violations += int(np.count_nonzero(~free_vertex & (vertex_gap > tol)))
+
+    # On L, not L + J/n: its off-diagonals -w + 1/n are positive for light edges.
     m_matrix_ok = bool(np.all(off_diag <= 0.0))
 
     return KKTReport(

@@ -7,7 +7,7 @@ backtracking safeguard. The loop references (Laplacian assembly, KKT
 residuals, screening, the edge sweep) visit one pair at a time in sorted
 order, and the vertex sweep one vertex at a time in index order, with the
 same arithmetic as the package's vectorized code, so the two agree bit for
-bit. Agreement between these and the package is the point of the tests,
+bit; connectivity is a depth-first search over adjacency lists. Agreement between these and the package is the point of the tests,
 so keep them independent.
 """
 from __future__ import annotations
@@ -42,11 +42,39 @@ def joint_objective_oracle(n, pairs, w, q, S):
     return -logdet + float(np.sum(T * np.asarray(S, dtype=float)))
 
 
+def is_connected_loop(n, pairs, w):
+    """Whether the edges with positive weight connect all n vertices: a
+    depth-first search over adjacency lists."""
+    adjacency = [[] for _ in range(n)]
+    for (i, j), we in zip(pairs, w):
+        if we > 0:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        v = stack.pop()
+        for nb in adjacency[v]:
+            if not seen[nb]:
+                seen[nb] = True
+                count += 1
+                stack.append(nb)
+    return count == n
+
+
 def kkt_residuals_loop(n, pairs, w, q, q_min, S, tol, floor_tol=1e-12):
     """(max edge residual, max vertex residual, complementarity violations)
-    of a joint graph, one pair and one vertex at a time."""
+    of a graph, one pair and one vertex at a time: the joint model
+    diag(q) + L, or the baseline L + J/n with no vertex terms when ``q`` is
+    None."""
     S = np.asarray(S, dtype=float)
-    phi = np.linalg.inv(assemble_model_matrix(n, pairs, w, diag_vector=q))
+    if q is None:
+        T = assemble_model_matrix(n, pairs, w, rank_one_shift=True)
+    else:
+        T = assemble_model_matrix(n, pairs, w, diag_vector=q)
+    phi = np.linalg.inv(T)
     phi = (phi + phi.T) / 2.0
     weight = dict(zip(pairs, w))
     max_edge = 0.0
@@ -63,6 +91,8 @@ def kkt_residuals_loop(n, pairs, w, q, q_min, S, tol, floor_tol=1e-12):
                     violations += 1
                 max_edge = max(max_edge, max(gap, 0.0))
     max_vertex = 0.0
+    if q is None:
+        return float(max_edge), max_vertex, violations
     for i in range(n):
         gap = 1.0 / S[i, i] - 1.0 / phi[i, i]
         if q[i] > q_min + floor_tol:

@@ -174,6 +174,22 @@ class TestRunExperiment:
         assert len(table.rows) == 1
         assert np.isfinite(table.rows[0].epsilon_w)
 
+    def test_unknown_method_raises_before_any_trial(self, monkeypatch):
+        import covgraph.bench as bench
+
+        calls = {"count": 0}
+
+        def counting(*task):
+            calls["count"] += 1
+            raise AssertionError("no trial may run")
+
+        monkeypatch.setattr(bench, "_run_trial", counting)
+        with pytest.raises(GraphValidationError, match="unknown method 'magic'"):
+            bench.run_experiment(
+                [0.5], n=6, trials=2, base_seed=0, methods=("joint", "magic"), config=self.CONFIG
+            )
+        assert calls["count"] == 0
+
     def test_unconverged_trials_kept_with_one_warning_per_cell(self):
         import covgraph.bench as bench
 

@@ -240,11 +240,6 @@ class TestInitModes:
         screened = learn_joint(S, LearnConfig(screen=True))
         assert plain.graph.edges == screened.graph.edges
 
-    def test_refresh_disabled_still_converges(self):
-        S = kernel_spd_covariance(4, seed=45)
-        result = learn_joint(S, LearnConfig(refresh_every=0))
-        assert result.converged
-
 
 class TestConfigValidation:
     def test_bad_method(self):

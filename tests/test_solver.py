@@ -18,18 +18,26 @@ from covgraph import (
     SingularModelError,
     all_pairs,
     as_covariance,
+    build_graph,
     edge_cost,
     edge_update,
     evaluate_objective,
     init_state,
+    laplacian,
     refresh_phi,
     vertex_update,
 )
 from covgraph.learn import epoch, kernel_weights
 from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
-from covgraph.solver import _MIN_SCAN_RUN, _rank_one_update, sweep_edges, sweep_vertices
+from covgraph.solver import (
+    _MIN_SCAN_RUN,
+    _is_connected,
+    _rank_one_update,
+    sweep_edges,
+    sweep_vertices,
+)
 from _support import kernel_spd_covariance
-from oracles import direct_inverse_oracle, sweep_edges_loop, sweep_vertices_loop
+from oracles import direct_inverse_oracle, is_connected_loop, sweep_edges_loop, sweep_vertices_loop
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -73,8 +81,12 @@ class TestInitState:
         np.testing.assert_allclose(state.phi, oracle, atol=1e-12)
 
     def test_baseline_empty_graph_is_singular(self):
-        with pytest.raises(SingularModelError, match="connected"):
-            init_state(np.eye(3), all_pairs(3), np.zeros(3))
+        # At n = 2, Cholesky of J/2 succeeds in floating point; the
+        # connectivity test must reject it.
+        np.linalg.cholesky(np.full((2, 2), 0.5))
+        for n in (2, 3):
+            with pytest.raises(SingularModelError, match="connected"):
+                init_state(np.eye(n), all_pairs(n), np.zeros(n * (n - 1) // 2))
 
     def test_baseline_disconnected_graph_is_singular(self):
         S = kernel_spd_covariance(4, seed=0).entries
@@ -89,6 +101,21 @@ class TestInitState:
     def test_negative_initial_weight_rejected(self):
         with pytest.raises(GraphValidationError, match="nonnegative"):
             init_state(S2, [(0, 1)], [-1.0], q0=1.0, q_min=1e-4)
+
+
+class TestIsConnected:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        density=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_search_loop(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        pairs = all_pairs(n)
+        w = np.where(rng.random(len(pairs)) < density, rng.uniform(0.0, 2.0, len(pairs)), 0.0)
+        graph = build_graph(n, [(i, j, we) for (i, j), we in zip(pairs, w)])
+        assert _is_connected(laplacian(graph)) == is_connected_loop(n, pairs, w)
 
 
 class TestEdgeUpdate:

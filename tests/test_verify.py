@@ -13,19 +13,26 @@ from hypothesis import strategies as st
 
 from covgraph import (
     LearnConfig,
+    SingularModelError,
     all_pairs,
     baseline_variogram_edge_bound,
     bound_report,
     build_graph,
     edge_weight_bound,
     kkt_report,
+    learn_cgl_baseline,
     learn_joint,
     screen_edges,
     trim_violations,
     variogram_edge_bound,
 )
 from _support import edge_weight_map, kernel_spd_covariance, mixed_sign_spd_covariance
-from oracles import joint_objective_oracle, kkt_residuals_loop, screen_pairs_loop
+from oracles import (
+    is_connected_loop,
+    joint_objective_oracle,
+    kkt_residuals_loop,
+    screen_pairs_loop,
+)
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -134,15 +141,17 @@ class TestKktReport:
         report = kkt_report(result, S, tol=1e-6)
         assert report.passed
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
         tol=st.sampled_from([1e-6, 1e-2, 0.3, 10.0]),
+        baseline=st.booleans(),
     )
-    def test_matches_pair_loop_reference(self, n, seed, tol):
-        # Random joint graphs (far from optimal, so every branch of the
-        # residual and violation counting is hit), some importances floored.
+    def test_matches_pair_loop_reference(self, n, seed, tol, baseline):
+        # Random graphs (far from optimal, so every branch of the residual
+        # and violation counting is hit): joint ones with some importances
+        # floored, and baseline ones, some of them disconnected.
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, 2 * n))
         S = A @ A.T / (2 * n) + 0.5 * np.eye(n)
@@ -152,9 +161,15 @@ class TestKktReport:
         edges = [
             (i, j, float(rng.uniform(0.0, 2.0))) for i, j in all_pairs(n) if rng.random() < 0.5
         ]
+        if baseline:
+            q = q_min = None
         graph = build_graph(n, edges, q=q, q_min=q_min)
-        report = kkt_report(graph, S, tol=tol)
         pairs = [(i, j) for i, j, _ in graph.edges]
+        if baseline and not is_connected_loop(n, pairs, graph.weights()):
+            with pytest.raises(SingularModelError, match="connected"):
+                kkt_report(graph, S, tol=tol)
+            return
+        report = kkt_report(graph, S, tol=tol)
         expected = kkt_residuals_loop(n, pairs, graph.weights(), graph.q, q_min, S, tol)
         assert (
             report.max_edge_residual,
@@ -168,6 +183,30 @@ class TestKktReport:
         result = learn_joint(S)
         report = kkt_report(result, S, tol=1e-6)
         assert report.passed
+
+
+class TestKktReportBaseline:
+    def test_empty_two_node_graph_is_singular(self):
+        # J/2 passes a Cholesky factorization; the graph is still disconnected.
+        with pytest.raises(SingularModelError, match="connected"):
+            kkt_report(build_graph(2, []), S2)
+
+    def test_converged_learn_passes_and_heavier_edge_fails(self):
+        S = kernel_spd_covariance(6, seed=21)
+        result = learn_cgl_baseline(S)
+        assert result.converged
+        report = kkt_report(result, S, tol=1e-6)
+        assert report.passed
+        assert report.m_matrix_ok
+        assert report.complementarity_violations == 0
+        assert report.max_vertex_residual == 0.0
+
+        edges = list(result.graph.edges)
+        i, j, w = edges[0]
+        edges[0] = (i, j, 1.1 * w)
+        report = kkt_report(build_graph(6, edges), S, tol=1e-6)
+        assert not report.passed
+        assert report.max_edge_residual > 1e-6
 
 
 class TestBoundReport:
