@@ -77,7 +77,10 @@ class LearnResult:
 
     ``history`` holds the objective at initialization and after each epoch;
     ``converged`` is True only when the stop tolerance was met (hitting
-    ``max_epochs`` reports False).
+    ``max_epochs`` reports False). ``max_refresh_drift`` is the largest
+    max-abs difference between the maintained inverse and its from-scratch
+    recomputation over the run's refreshes; ``singularity_clips`` counts the
+    baseline edge steps clipped short of a disconnected graph.
     """
 
     graph: Graph
@@ -86,6 +89,8 @@ class LearnResult:
     converged: bool
     wall_time_seconds: float
     history: list = field(default_factory=list)
+    max_refresh_drift: float = 0.0
+    singularity_clips: int = 0
 
 
 def epoch(state: SolverState) -> float:
@@ -155,17 +160,18 @@ def _run(state: SolverState, config: LearnConfig):
     history = [state.objective]
     converged = False
     epochs = 0
+    drift = 0.0
     for _ in range(config.max_epochs):
         change = epoch(state)
         epochs += 1
         if state.epoch_counter % REFRESH_EVERY == 0:
-            refresh_phi(state)
+            drift = max(drift, refresh_phi(state))
         history.append(state.objective)
         if abs(change) < config.stop_tol:
             converged = True
             break
-    refresh_phi(state)
-    return history, converged, epochs
+    drift = max(drift, refresh_phi(state))
+    return history, converged, epochs, drift
 
 
 def learn(S, config: LearnConfig | None = None) -> LearnResult:
@@ -191,7 +197,7 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
 
     start = time.perf_counter()
     state = init_state(cov, pairs, w0, q0=q0, q_min=q_min)
-    history, converged, epochs = _run(state, config)
+    history, converged, epochs, drift = _run(state, config)
     wall = time.perf_counter() - start
 
     graph = build_graph(
@@ -207,6 +213,8 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
         converged=converged,
         wall_time_seconds=wall,
         history=history,
+        max_refresh_drift=drift,
+        singularity_clips=state.singularity_clips,
     )
 
 

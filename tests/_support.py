@@ -1,9 +1,21 @@
 """Shared fixtures-by-function for the test suite: seeded instance generators."""
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 
+import covgraph.solver
 from covgraph import CovarianceMatrix
+
+
+@contextmanager
+def batched_path(size=4):
+    """Solver states built inside the block take the batched update path
+    at any n and flush every ``size`` updates, so flushes land mid-sweep."""
+    with mock.patch.multiple(covgraph.solver, _MIN_BATCH_N=1, _BATCH_SIZE=size):
+        yield
 
 
 def kernel_spd_covariance(n, seed, sill_low=20.0, sill_high=60.0):

@@ -20,7 +20,8 @@ import covgraph.learn
 from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
 from covgraph.graphs import laplacian_from_pairs
 from covgraph.learn import epoch, learn
-from _support import edge_weight_map, kernel_spd_covariance
+from covgraph.solver import refresh_phi
+from _support import batched_path, edge_weight_map, kernel_spd_covariance
 from oracles import minimize_baseline_objective, minimize_joint_objective, sweep_edges_loop
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -200,6 +201,39 @@ def test_learn_with_per_edge_sweep_is_bit_identical(monkeypatch, method):
     assert q[0] == q[1]
     assert scanned.history == looped.history
     assert scanned.epochs_run == looped.epochs_run
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("method", ["joint", "baseline"])
+    def test_drift_and_clips_are_those_of_the_run(self, monkeypatch, method):
+        drifts, states = [], []
+
+        def recording_refresh(state):
+            drifts.append(refresh_phi(state))
+            return drifts[-1]
+
+        def recording_init(*args, **kwargs):
+            # Learned runs rarely clip; a counter started at 3 shows that
+            # the result reports the state's count.
+            states.append(init_state(*args, **kwargs))
+            states[-1].singularity_clips = 3
+            return states[-1]
+
+        monkeypatch.setattr(covgraph.learn, "refresh_phi", recording_refresh)
+        monkeypatch.setattr(covgraph.learn, "init_state", recording_init)
+        sample = sample_locations(20, seed=0)
+        S = variogram_covariance(sample, VariogramSpec(range_=0.2))
+        result = learn(S, LearnConfig(method=method, init="kernel", points=sample.points))
+        assert len(drifts) == result.epochs_run // covgraph.learn.REFRESH_EVERY + 1 >= 2
+        assert result.max_refresh_drift == max(drifts) > 0.0
+        assert result.singularity_clips == states[0].singularity_clips >= 3
+
+    def test_batched_learn_records_small_drift(self):
+        sample = sample_locations(20, seed=8)
+        S = variogram_covariance(sample, VariogramSpec(range_=0.2))
+        with batched_path():
+            result = learn_joint(S, LearnConfig(init="kernel", points=sample.points))
+        assert 0.0 < result.max_refresh_drift <= 1e-9
 
 
 class TestInitModes:

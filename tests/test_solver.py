@@ -3,13 +3,16 @@ inverse, objective bookkeeping, and the refresh path.
 
 Oracle: direct dense inversion (SciPy) of the freshly assembled model
 matrix, hand-derived update values on two-node instances, and the
-per-coordinate sweep loops of ``oracles.py`` for the edge and vertex sweeps.
+per-coordinate sweep loops of ``oracles.py`` for the edge and vertex sweeps
+(bit for bit on the immediate update path, within rounding on the batched
+one).
 """
 import copy
 import math
 
 import numpy as np
 import pytest
+import covgraph.solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,12 +34,15 @@ from covgraph.learn import epoch, kernel_weights
 from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
 from covgraph.solver import (
     _MIN_SCAN_RUN,
+    _MIN_BATCH_N,
     _is_connected,
     _rank_one_update,
+    model_inverse,
+    pair_quadratic,
     sweep_edges,
     sweep_vertices,
 )
-from _support import kernel_spd_covariance
+from _support import batched_path, kernel_spd_covariance
 from oracles import direct_inverse_oracle, is_connected_loop, sweep_edges_loop, sweep_vertices_loop
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -485,3 +491,89 @@ class TestMonotoneDescent:
                 upd = update()
                 assert upd.delta * upd.cost - math.log1p(upd.delta * upd.effective) <= 0.0
                 assert evaluate_objective(state) <= before + 1e-9 * abs(before)
+
+
+@st.composite
+def batched_states(draw):
+    """A state of ``random_states`` or ``zero_run_states`` on the batched
+    update path with four updates per flush: flushes land mid-sweep, and a
+    run of more than n^2 / 3 zero-weight edges is scanned in pieces."""
+    with batched_path():
+        return draw(st.one_of(random_states(), zero_run_states()))
+
+
+class TestBatchedUpdates:
+    def test_small_states_take_the_immediate_path(self):
+        # The bit-identity tests above run below the batching size.
+        assert disconnected_state().n < _MIN_BATCH_N
+        assert disconnected_state()._pending is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(batched_states(), st.integers(1, 3))
+    def test_sweeps_match_loop_within_rounding(self, state, sweeps):
+        assert state._pending is not None
+        reference = copy.deepcopy(state)
+        for sweep in range(sweeps):
+            sweep_edges(state)
+            sweep_edges_loop(reference)
+            if state.mode == "joint":
+                sweep_vertices(state)
+                sweep_vertices_loop(reference)
+            if sweep == 0:
+                # Later sweeps revisit coordinates already at their optimum,
+                # whose step is a rounding residue (under 3e-15 in 3,000
+                # random states) that either side may round to exactly 0,
+                # so only the first sweep's count must match.
+                assert state.updates_since_refresh == reference.updates_since_refresh
+        # The per-coordinate loop itself strays up to 1.3e-12 * max|phi| from
+        # the fresh inverse (1 of 1,500 drawn states, condition number 75),
+        # so the batched phi may stray 1e-12 * max|phi| beyond the loop's own
+        # distance.
+        direct = model_inverse(state.laplacian(), state.q)
+        loop_error = np.max(np.abs(reference.phi - direct), initial=0.0)
+        error = np.max(np.abs(state.phi - direct), initial=0.0)
+        assert error <= 1e-12 * np.max(np.abs(direct), initial=0.0) + loop_error
+        np.testing.assert_allclose(state.w, reference.w, rtol=0, atol=1e-12)
+        if state.mode == "joint":
+            np.testing.assert_allclose(state.q, reference.q, rtol=0, atol=1e-12)
+        assert abs(state.objective - evaluate_objective(state)) <= 1e-12 * abs(state.objective)
+
+    def test_reading_phi_mid_sweep_gives_current_inverse(self):
+        S = kernel_spd_covariance(9, seed=3)
+        w0 = np.full(36, 0.1)
+        immediate = joint_state(S, w0)
+        with batched_path(size=8):
+            state = joint_state(S, w0)
+        for e in range(5):
+            edge_update(state, e)
+            edge_update(immediate, e)
+        vertex_update(state, 0)
+        vertex_update(immediate, 0)
+        assert state._k == 6
+        phi = state.phi
+        assert state._k == 0
+        direct = model_inverse(state.laplacian(), state.q)
+        assert np.max(np.abs(phi - direct)) <= 1e-12 * np.max(np.abs(phi))
+        np.testing.assert_allclose(phi, immediate.phi, rtol=0, atol=1e-14)
+
+    def test_long_zero_run_is_scanned_in_pieces(self, monkeypatch):
+        # At n = 11 with three updates pending, a scan covers at most
+        # 121 // 3 = 40 edges. Only the last of the 55 pairs is correlated,
+        # and phi stays diagonal with exact entries, so every other step is
+        # exactly 0: the first piece has no mover and the scan goes on.
+        S = np.eye(11)
+        S[9, 10] = S[10, 9] = 0.9
+        with batched_path():
+            state = init_state(S, all_pairs(11), 0.0, q0=2.0, q_min=1e-4)
+        sweep_vertices(state)
+        assert state._k == 3
+        lengths = []
+
+        def recording(M, idx_i, idx_j):
+            lengths.append(len(idx_i))
+            return pair_quadratic(M, idx_i, idx_j)
+
+        monkeypatch.setattr(covgraph.solver, "pair_quadratic", recording)
+        sweep_edges(state)
+        assert lengths == [40, 15]
+        assert np.flatnonzero(state.w).tolist() == [54]

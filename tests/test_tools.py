@@ -1,0 +1,73 @@
+"""Tests of the paired-benchmark summary in ``tools/bench_pairs.py``, on
+fixed numbers worked out by hand."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "request_p50_s", "better": "lower", "bound": 0.24},
+    {"name": "requests_per_s", "better": "higher", "bound": 0.24},
+]
+
+
+def _run(pair, side, p50, rate, failed=0, workload="w"):
+    metrics = {"request_p50_s": {"value": p50}, "requests_per_s": {"value": rate}}
+    return {"workload": workload, "pair": pair, "side": side,
+            "result": {"failed": failed, "metrics": metrics}}
+
+
+def test_quartiles_interpolate_linearly():
+    for values in ([3.0], [4.0, 1.0], [1.0, 2.0, 3.0, 4.0], [10, 12, 11, 13, 14]):
+        assert bench_pairs.quartiles(values) == pytest.approx(
+            tuple(np.percentile(values, [25, 50, 75])))
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+
+
+def test_summary_on_fixed_numbers():
+    parent_p50, change_p50 = [10, 12, 11, 13, 14], [6, 7, 12, 5, 6]
+    parent_rate, change_rate = [1, 2, 3, 4, 5], [1, 3, 2, 5, 6]
+    runs = []
+    for k in range(5):
+        runs.append(_run(k, "parent", parent_p50[k], parent_rate[k], failed=1))
+        runs.append(_run(k, "change", change_p50[k], change_rate[k], failed=1 + (k == 2)))
+    # A pair with one side missing does not count.
+    runs.append(_run(5, "parent", 1.0, 9.0))
+    runs.append({"workload": "w", "pair": 5, "side": "change", "result": None})
+
+    summary = bench_pairs.summarize(runs, METRICS)["w"]
+    assert summary["pairs"] == 5
+    p50 = summary["request_p50_s"]
+    assert p50["parent"] == {"median": 12, "q1": 11, "q3": 13}
+    assert p50["change"] == {"median": 6, "q1": 6, "q3": 7}
+    assert p50["change_wins"] == 4
+    assert p50["relative_change_of_median"] == -0.5
+    assert p50["parent_iqr"] == 2
+    assert p50["within_bound"]
+    assert not p50["claim_rule_met"]  # 4 wins of 5 is under nine tenths
+
+    rate = summary["requests_per_s"]
+    assert rate["change_wins"] == 3  # the tie in pair 0 counts for neither side
+    assert rate["change"]["median"] == rate["parent"]["median"] == 3
+    assert rate["relative_change_of_median"] == 0.0
+    assert rate["within_bound"]
+    assert summary["failed_per_run"] == {"parent": [1], "change": [1, 2]}
+
+
+@pytest.mark.parametrize("better, parent, change, within, claim", [
+    ("lower", [10, 11, 12, 13], [9, 9, 9, 9], True, True),
+    ("lower", [10, 11, 12, 13], [14, 15, 16, 17], False, False),
+    ("higher", [10, 11, 12, 13], [14, 15, 16, 17], True, True),
+    ("higher", [10, 11, 12, 13], [8, 8, 8, 8], False, False),
+    ("higher", [10, 11, 12, 13], [10, 10, 10, 10], True, False),
+])
+def test_bound_and_claim_follow_direction(better, parent, change, within, claim):
+    row = bench_pairs.compare(parent, change, better, 0.24)
+    assert row["within_bound"] is within
+    assert row["claim_rule_met"] is claim

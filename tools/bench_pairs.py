@@ -1,0 +1,177 @@
+"""Paired benchmark runs of a parent commit against a change, summarized.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_7.json
+    python3 tools/bench_pairs.py --parent HEAD --change worktree --workloads joint-large
+
+Run from the root of a checkout. The parent side is ``git archive`` of the
+``--parent`` revision, unpacked into a temporary directory that is removed
+afterwards. The change side is the ``--change`` revision unpacked the same
+way, or with ``--change worktree`` (the default) the checkout itself, so
+uncommitted edits are measured. Every run is
+``perfbench/run.py --workload W --seed S --seconds N --trace 0`` in a fresh
+process. Pair k uses seed ``--seed + k``; even pairs run the parent first,
+odd pairs the change. The JSON file is rewritten after every run, so an
+interrupted set keeps what it measured.
+
+The summary gives, per workload and end-to-end metric of ``BENCHMARK.json``,
+each side's median and quartiles (linear interpolation), the pairs the
+change wins (ties count for neither side), the relative change of the
+median, whether it stays within the metric's bound, and whether the
+claim rule holds: the change wins at least nine tenths of the pairs and the
+medians differ by more than the parent's interquartile range.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def quartiles(values):
+    """(q1, median, q3) of ``values`` by linear interpolation between order
+    statistics (numpy's default percentile method)."""
+    xs = sorted(values)
+
+    def at(p):
+        pos = p * (len(xs) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def compare(parent, change, better, bound):
+    """Summary of one metric over pairs ``parent[k]``, ``change[k]``."""
+    sign = 1.0 if better == "lower" else -1.0
+    (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
+    relative = (cm - pm) / pm if pm else 0.0
+    return {
+        "better": better,
+        "bound": bound,
+        "parent": {"median": pm, "q1": p1, "q3": p3},
+        "change": {"median": cm, "q1": c1, "q3": c3},
+        "change_wins": wins,
+        "relative_change_of_median": relative,
+        "parent_iqr": p3 - p1,
+        "within_bound": sign * relative <= bound,
+        "claim_rule_met": wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1,
+    }
+
+
+def summarize(runs, metrics):
+    """Per-workload summary of ``runs`` (entries of the ``runs`` list) for
+    ``metrics``, the ``end_to_end`` list of ``BENCHMARK.json``. Only pairs
+    in which both sides produced a result count."""
+    by_pair = {}
+    for run in runs:
+        if run.get("result") is not None:
+            by_pair.setdefault(run["workload"], {}).setdefault(run["pair"], {})[run["side"]] = run
+    summary = {}
+    for workload, pairs in by_pair.items():
+        complete = [pairs[k] for k in sorted(pairs) if len(pairs[k]) == len(SIDES)]
+        if not complete:
+            continue
+        entry = {"pairs": len(complete)}
+        for metric in metrics:
+            name = metric["name"]
+            parent, change = ([p[s]["result"]["metrics"][name]["value"] for p in complete] for s in SIDES)
+            entry[name] = compare(parent, change, metric["better"], metric["bound"])
+        entry["failed_per_run"] = {
+            s: sorted({p[s]["result"]["failed"] for p in complete}) for s in SIDES
+        }
+        summary[workload] = entry
+    return summary
+
+
+def unpack(rev, dest):
+    """Write the files of commit ``rev`` to ``dest`` with ``git archive``."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One benchmark process; returns (returncode, environment line, result)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    environment = next((line for line in lines if line.startswith("environment ")), None)
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    return proc.returncode, environment, result
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
+    parser.add_argument("--change", default="worktree",
+                        help="change revision, or 'worktree' for this checkout (default)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--seed", type=int, default=71, help="seed of pair 0")
+    parser.add_argument("--workloads", default=None,
+                        help="comma-separated workloads (default: those of BENCHMARK.json)")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--what", default="", help="one line saying what is compared")
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = benchmark["end_to_end"]
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in benchmark["workloads"]])
+    revs = {"parent": args.parent, "change": args.change}
+    record = {
+        "what": args.what,
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "method": (f"{args.pairs} pairs of runs, each in a fresh process; parent {args.parent}, "
+                   f"change {args.change}; pair k uses seed {args.seed}+k; even pairs run the "
+                   "parent first, odd pairs the change; quartiles by linear interpolation"),
+        "machine": None,
+        "summary": {},
+        "runs": [],
+    }
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    try:
+        checkouts = {}
+        for side in SIDES:
+            if revs[side] == "worktree":
+                checkouts[side] = ROOT
+            else:
+                checkouts[side] = tmp / side
+                unpack(revs[side], checkouts[side])
+        for pair in range(args.pairs):
+            seed = args.seed + pair
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for workload in workloads:
+                for side in order:
+                    code, environment, result = run_once(checkouts[side], workload, seed, args.seconds)
+                    record["machine"] = record["machine"] or environment
+                    record["runs"].append({
+                        "workload": workload, "pair": pair, "seed": seed, "side": side,
+                        "first": order[0], "returncode": code, "environment": environment,
+                        "result": result,
+                    })
+                    record["summary"] = summarize(record["runs"], metrics)
+                    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+                    p50 = result["metrics"]["request_p50_s"]["value"] if result else None
+                    print(f"pair {pair} {workload} {side}: exit {code}, p50 {p50}", file=sys.stderr)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
