@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 import pytest
-import covgraph.solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covgraph.solver
 from covgraph import (
     GraphValidationError,
     SingularModelError,
