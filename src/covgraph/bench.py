@@ -19,7 +19,7 @@ import numpy as np
 from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs
 from .learn import LearnConfig, kernel_weights, learn, pairwise_distances
 from .solver import SingularModelError
-from .verify import baseline_variogram_edge_bound, variogram_edge_bound
+from .verify import above_floor, baseline_variogram_edge_bound, variogram_edge_bound
 
 # A weight is an "edge" only above this threshold: exact clamps land on 0.0,
 # but refresh and trimming paths may leave numerical dust.
@@ -33,7 +33,6 @@ class SpatialSample:
     """Locations drawn uniformly in the unit square, reproducible per seed."""
 
     points: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -41,20 +40,17 @@ class VariogramSpec:
     """Isotropic exponential variogram 2*gamma(d) = 2*sill*(1 - e^(-d/r)).
 
     ``sill`` is the common variance of every location and ``range_`` the
-    correlation length. Measurement noise (a nugget) is not modeled.
+    correlation length. Measurement noise is not modeled.
     """
 
     sill: float = 10.0
     range_: float = 0.1
-    nugget: float = 0.0
 
     def __post_init__(self):
         if not self.sill > 0:
             raise GraphValidationError("variogram sill must be positive")
         if not self.range_ > 0:
             raise GraphValidationError("variogram range must be positive")
-        if self.nugget != 0.0:
-            raise GraphValidationError("nonzero nugget is not supported")
 
 
 @dataclass
@@ -80,7 +76,7 @@ def sample_locations(n, seed) -> SpatialSample:
     if n < 2:
         raise GraphValidationError(f"need at least 2 locations, got {n}")
     rng = np.random.default_rng(seed)
-    return SpatialSample(points=_frozen_array(rng.random((int(n), 2))), seed=int(seed))
+    return SpatialSample(points=_frozen_array(rng.random((int(n), 2))))
 
 
 def _points_of(sample_or_points) -> np.ndarray:
@@ -106,14 +102,16 @@ def kernel_initial_graph(sample_or_points) -> np.ndarray:
 
 
 def compute_metrics(result, method=None, r=None) -> MetricsRow:
-    """Learned-graph quality metrics for one result.
+    """Learned-graph quality metrics for one result of n >= 2 vertices.
 
-    ``u_q`` uses exact equality with the floor (clamping is exact);
-    ``q_bar`` averages the strictly-above-floor importances; ``epsilon_w``
-    is the fraction of vertex pairs carrying no weight.
+    ``u_q`` is the fraction of importances at the floor and ``q_bar`` the
+    mean of the others, split by :func:`covgraph.verify.above_floor`;
+    ``epsilon_w`` is the fraction of vertex pairs carrying no weight.
     """
     graph = result.graph
     n = graph.n
+    if n < 2:
+        raise GraphValidationError(f"metrics need at least 2 vertices, got {n}")
     total_pairs = n * (n - 1) // 2
     present = sum(1 for _, _, w in graph.edges if w > EDGE_PRESENCE_TOL)
     epsilon_w = 1.0 - present / total_pairs
@@ -121,9 +119,9 @@ def compute_metrics(result, method=None, r=None) -> MetricsRow:
     u_q = None
     q_bar = None
     if graph.q is not None:
-        at_floor = graph.q == graph.q_min
-        u_q = float(np.mean(at_floor))
-        above = graph.q[~at_floor]
+        free = above_floor(graph)
+        u_q = float(np.mean(~free))
+        above = graph.q[free]
         if above.size:
             q_bar = float(np.mean(above))
     return MetricsRow(
@@ -160,9 +158,10 @@ def _attempt_trial(task):
         return exc
 
 
-def _mean_or_none(values):
+def _mean(values, empty=None):
+    """Mean of the values that are not None, or ``empty`` if there are none."""
     values = [v for v in values if v is not None]
-    return float(np.mean(values)) if values else None
+    return float(np.mean(values)) if values else empty
 
 
 def run_experiment(
@@ -191,10 +190,11 @@ def run_experiment(
     template = config or LearnConfig()
     configs = {method: replace(template, method=method) for method in methods}
 
+    # Cell c holds tasks and results c * trials to (c + 1) * trials.
+    cells = [(method, r) for method in methods for r in ranges]
     tasks = [
         (method, float(r), int(n), int(base_seed) + k, configs[method])
-        for method in methods
-        for r in ranges
+        for method, r in cells
         for k in range(trials)
     ]
 
@@ -203,49 +203,38 @@ def run_experiment(
             results = list(pool.map(_attempt_trial, tasks))
     else:
         results = list(map(_attempt_trial, tasks))
-    outcomes = {task[:4]: result for task, result in zip(tasks, results)}
 
     rows = []
-    for method in methods:
-        for r in ranges:
-            collected = []
-            unconverged = 0
-            for k in range(trials):
-                key = (method, float(r), int(n), int(base_seed) + k)
-                outcome = outcomes[key]
-                if isinstance(outcome, Exception):
-                    warnings.warn(
-                        f"trial {k} for method={method} r={r} failed and is "
-                        f"excluded from the averages: {outcome}"
-                    )
-                    continue
-                row, converged = outcome
-                collected.append(row)
-                unconverged += not converged
-            if unconverged:
+    for c, (method, r) in enumerate(cells):
+        collected = []
+        unconverged = 0
+        for k, outcome in enumerate(results[c * trials:(c + 1) * trials]):
+            if isinstance(outcome, Exception):
                 warnings.warn(
-                    f"{unconverged} of {trials} trials for method={method} r={r} "
-                    "stopped at max_epochs without converging; they stay in the averages"
-                )
-            if not collected:
-                warnings.warn(f"all trials failed for method={method} r={r}")
-                rows.append(
-                    MetricsRow(
-                        method=method, r=float(r), u_q=None, q_bar=None,
-                        epsilon_w=float("nan"), time_s=float("nan"),
-                    )
+                    f"trial {k} for method={method} r={r} failed and is "
+                    f"excluded from the averages: {outcome}"
                 )
                 continue
-            rows.append(
-                MetricsRow(
-                    method=method,
-                    r=float(r),
-                    u_q=_mean_or_none([m.u_q for m in collected]),
-                    q_bar=_mean_or_none([m.q_bar for m in collected]),
-                    epsilon_w=float(np.mean([m.epsilon_w for m in collected])),
-                    time_s=float(np.mean([m.time_s for m in collected])),
-                )
+            row, converged = outcome
+            collected.append(row)
+            unconverged += not converged
+        if unconverged:
+            warnings.warn(
+                f"{unconverged} of {trials} trials for method={method} r={r} "
+                "stopped at max_epochs without converging; they stay in the averages"
             )
+        if not collected:
+            warnings.warn(f"all trials failed for method={method} r={r}")
+        rows.append(
+            MetricsRow(
+                method=method,
+                r=float(r),
+                u_q=_mean([m.u_q for m in collected]),
+                q_bar=_mean([m.q_bar for m in collected]),
+                epsilon_w=_mean([m.epsilon_w for m in collected], float("nan")),
+                time_s=_mean([m.time_s for m in collected], float("nan")),
+            )
+        )
     return ExperimentTable(rows=rows)
 
 
@@ -254,8 +243,11 @@ def bound_curves(ranges, sill=10.0, d_max=1.5, steps=151):
 
     Returns ``(d_grid, curves)`` with one joint-model and one baseline curve
     per range, keyed ``bound_proposed_r{r}`` and ``bound_baseline_r{r}``;
-    values at d = 0 are infinite.
+    values at d = 0 are infinite. Every range must give a valid
+    :class:`VariogramSpec` with ``sill``.
     """
+    for r in ranges:
+        VariogramSpec(sill=sill, range_=r)
     d = np.linspace(0.0, float(d_max), int(steps))
     curves = {}
     for r in ranges:

@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph, GraphValidationError, all_pairs, as_covariance, build_graph
-from .solver import (
-    MODE_JOINT,
-    SolverState,
-    init_state,
-    refresh_phi,
-    sweep_edges,
-    sweep_vertices,
-)
+from .solver import SolverState, init_state, refresh_phi, sweep_edges, sweep_vertices
 from .verify import screen_edges
 
 INIT_MODES = ("uniform", "kernel", "given")
@@ -45,7 +38,10 @@ class LearnConfig:
     places ``init_value`` (default 1/n) on every active pair, ``"kernel"``
     uses a Gaussian kernel of the pairwise distances of ``points`` with
     bandwidth one third of the mean distance, and ``"given"`` reads weights
-    from the ``init_weights`` mapping {(i, j): w}.
+    from the ``init_weights`` mapping {(i, j): w}. ``screen`` keeps only
+    the pairs with S_ij > 0 (:func:`covgraph.verify.screen_edges`); that is
+    exact for the joint method alone, because baseline optima put weight on
+    nonpositive pairs too, so the baseline rejects it.
     """
 
     method: str = "joint"
@@ -69,6 +65,8 @@ class LearnConfig:
             raise GraphValidationError("max_epochs must be at least 1")
         if not self.q_min > 0:
             raise GraphValidationError("q_min must be positive")
+        if self.screen and self.method == "baseline":
+            raise GraphValidationError("screening is exact for the joint method only")
 
 
 @dataclass
@@ -97,7 +95,7 @@ def epoch(state: SolverState) -> float:
     """One full sweep (edges, then importances in joint mode); returns its
     accumulated objective change, which is nonpositive up to rounding."""
     change = sweep_edges(state)
-    if state.mode == MODE_JOINT:
+    if state.q is not None:
         change += sweep_vertices(state)
     state.epoch_counter += 1
     return change
@@ -150,20 +148,12 @@ def _initial_weights(n, pairs, config: LearnConfig) -> np.ndarray:
     return np.array([float(config.init_weights.get((i, j), 0.0)) for i, j in pairs])
 
 
-def _active_pairs(S, config: LearnConfig):
-    if config.screen:
-        return screen_edges(S)
-    return all_pairs(S.shape[0])
-
-
 def _run(state: SolverState, config: LearnConfig):
     history = [state.objective]
     converged = False
-    epochs = 0
     drift = 0.0
     for _ in range(config.max_epochs):
         change = epoch(state)
-        epochs += 1
         if state.epoch_counter % REFRESH_EVERY == 0:
             drift = max(drift, refresh_phi(state))
         history.append(state.objective)
@@ -171,7 +161,7 @@ def _run(state: SolverState, config: LearnConfig):
             converged = True
             break
     drift = max(drift, refresh_phi(state))
-    return history, converged, epochs, drift
+    return history, converged, drift
 
 
 def learn(S, config: LearnConfig | None = None) -> LearnResult:
@@ -188,7 +178,7 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
     cov = as_covariance(S)
     config = config or LearnConfig()
 
-    pairs = _active_pairs(cov.entries, config)
+    pairs = screen_edges(cov) if config.screen else all_pairs(cov.n)
     w0 = _initial_weights(cov.n, pairs, config)
     if config.method == "joint":
         q0, q_min = 1.0, config.q_min
@@ -197,7 +187,7 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
 
     start = time.perf_counter()
     state = init_state(cov, pairs, w0, q0=q0, q_min=q_min)
-    history, converged, epochs, drift = _run(state, config)
+    history, converged, drift = _run(state, config)
     wall = time.perf_counter() - start
 
     graph = build_graph(
@@ -209,7 +199,7 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
     return LearnResult(
         graph=graph,
         objective=state.objective,
-        epochs_run=epochs,
+        epochs_run=state.epoch_counter,
         converged=converged,
         wall_time_seconds=wall,
         history=history,

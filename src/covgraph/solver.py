@@ -53,9 +53,6 @@ import numpy as np
 
 from .graphs import GraphValidationError, as_covariance, endpoint_arrays, laplacian_from_pairs
 
-MODE_JOINT = "joint"
-MODE_BASELINE = "baseline"
-
 # Smallest allowed determinant factor for a baseline edge update; stepping
 # past it would make L + J/n numerically singular (disconnected graph).
 BASELINE_SINGULARITY_TOL = 1e-10
@@ -102,16 +99,18 @@ class CoordinateUpdate:
 
 
 class SolverState:
-    """Mutable single-owner state of one coordinate-minimization run."""
+    """Mutable single-owner state of one coordinate-minimization run, built
+    by :func:`init_state`, which validates the inputs and gives the state
+    its own pair list, weights and importances. ``q is None`` selects the
+    baseline model."""
 
-    def __init__(self, mode, S, pairs, w, q, q_min):
-        self.mode = mode
+    def __init__(self, S, pairs, w, q, q_min):
         self.S = S
         self.n = S.shape[0]
-        self.pairs = [(int(i), int(j)) for i, j in pairs]
-        self.idx_i, self.idx_j = endpoint_arrays(self.pairs)
-        self.w = np.asarray(w, dtype=float).copy()
-        self.q = None if q is None else np.asarray(q, dtype=float).copy()
+        self.pairs = pairs
+        self.idx_i, self.idx_j = endpoint_arrays(pairs)
+        self.w = w
+        self.q = q
         self.q_min = q_min
         self.edge_costs = edge_cost(S, self.idx_i, self.idx_j)
         self._inv_costs = 1.0 / self.edge_costs
@@ -260,15 +259,16 @@ def init_state(S, pairs, w0, q0=None, q_min=None) -> SolverState:
         raise GraphValidationError("initial edge weights must be finite and nonnegative")
 
     if q0 is None:
-        state = SolverState(MODE_BASELINE, S, pairs, w0, None, None)
+        q_min = None
     else:
         if q_min is None or not np.isfinite(q_min) or q_min <= 0:
             raise GraphValidationError(f"q_min must be a positive real, got {q_min!r}")
+        q_min = float(q_min)
         q0 = np.broadcast_to(np.asarray(q0, dtype=float), (n,)).copy()
         if np.any(~np.isfinite(q0)) or np.any(q0 < q_min):
             raise GraphValidationError("initial importances must be finite and >= q_min")
-        state = SolverState(MODE_JOINT, S, pairs, w0, q0, float(q_min))
 
+    state = SolverState(S, pairs, w0, q0, q_min)
     refresh_phi(state)
     return state
 
@@ -365,7 +365,7 @@ def _apply_edge(state, e):
         return 0.0, h, r
 
     denom = 1.0 + delta * r
-    if state.mode == MODE_BASELINE and denom < BASELINE_SINGULARITY_TOL:
+    if state.q is None and denom < BASELINE_SINGULARITY_TOL:
         # Removing this much weight would disconnect the graph; stop just
         # short of the singularity instead of crashing.
         delta = (BASELINE_SINGULARITY_TOL - 1.0) / r
@@ -424,7 +424,7 @@ def edge_update(state, e) -> CoordinateUpdate:
 
 def vertex_update(state, i) -> CoordinateUpdate:
     """Apply the optimal update to importance ``i`` (joint mode only)."""
-    if state.mode != MODE_JOINT:
+    if state.q is None:
         raise ValueError("vertex updates are only defined in joint mode")
     delta, cost, effective = _apply_vertex(state, i)
     return CoordinateUpdate(target=("vertex", int(i)), delta=delta, cost=cost, effective=effective)

@@ -25,6 +25,12 @@ from .solver import model_inverse, model_objective, pair_quadratic
 FLOOR_TOL = 1e-12
 
 
+def above_floor(graph) -> np.ndarray:
+    """Which importances of a joint graph sit strictly above its floor: the
+    free importance coordinates of the joint model."""
+    return graph.q > graph.q_min + FLOOR_TOL
+
+
 @dataclass
 class EdgeBoundRecord:
     i: int
@@ -113,7 +119,10 @@ def baseline_variogram_edge_bound(d, r, sill=10.0):
 
 
 def screen_edges(S) -> list:
-    """Candidate pairs that can carry weight at an optimum: S_ij > 0."""
+    """Candidate pairs that can carry weight at a joint optimum: S_ij > 0.
+
+    Exact for the joint model only; a baseline optimum can put weight on
+    pairs with S_ij <= 0, so the baseline learner does not screen."""
     S = as_covariance(S).entries
     idx_i, idx_j = np.triu_indices(S.shape[0], k=1)
     keep = S[idx_i, idx_j] > 0
@@ -130,15 +139,13 @@ def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
     if graph.q is None:
         raise ValueError("bound report requires a graph with vertex importances")
     S = as_covariance(S).entries
+    free = above_floor(graph)
     records = []
     n_applicable = 0
     n_violated = 0
     for i, j, w in graph.edges:
         rho, bound = _correlation_bound(S, i, j)
-        above_floor = bool(
-            graph.q[i] > graph.q_min + FLOOR_TOL and graph.q[j] > graph.q_min + FLOOR_TOL
-        )
-        applicable = above_floor and not math.isnan(bound)
+        applicable = bool(free[i] and free[j]) and not math.isnan(bound)
         violated = bool(applicable and w > bound + tol)
         records.append(
             EdgeBoundRecord(
@@ -186,7 +193,7 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     max_vertex = 0.0
     if graph.q is not None:
         vertex_gap = 1.0 / np.diag(S) - 1.0 / np.diag(phi)
-        free_vertex = graph.q > graph.q_min + FLOOR_TOL
+        free_vertex = above_floor(graph)
         max_vertex = _max_residual(vertex_gap, free_vertex)
         violations += int(np.count_nonzero(~free_vertex & (vertex_gap > tol)))
 

@@ -17,7 +17,7 @@ from math import log1p
 import numpy as np
 import scipy.linalg
 
-from covgraph.solver import BASELINE_SINGULARITY_TOL, MODE_BASELINE
+from covgraph.solver import BASELINE_SINGULARITY_TOL
 
 
 def assemble_model_matrix(n, pairs, w, diag_vector=None, rank_one_shift=False):
@@ -122,7 +122,7 @@ def sweep_edges_loop(state):
         if delta == 0.0:
             continue
         denom = 1.0 + delta * r
-        if state.mode == MODE_BASELINE and denom < BASELINE_SINGULARITY_TOL:
+        if state.q is None and denom < BASELINE_SINGULARITY_TOL:
             delta = (BASELINE_SINGULARITY_TOL - 1.0) / r
             denom = 1.0 + delta * r
             clamped = False

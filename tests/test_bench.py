@@ -79,7 +79,7 @@ class TestVariogramCovariance:
             VariogramSpec(sill=0.0, range_=0.1)
         with pytest.raises(GraphValidationError):
             VariogramSpec(range_=-1.0)
-        with pytest.raises(GraphValidationError, match="nugget"):
+        with pytest.raises(TypeError):
             VariogramSpec(range_=0.1, nugget=0.5)
 
 
@@ -132,6 +132,19 @@ class TestComputeMetrics:
         g = build_graph(3, [(0, 1, 1e-14), (1, 2, 1.0)], q=np.ones(3), q_min=0.01)
         row = compute_metrics(self._result(g))
         assert row.epsilon_w == pytest.approx(2.0 / 3.0)
+
+    def test_floor_is_the_kkt_floor(self):
+        # An importance within FLOOR_TOL of the floor is at the floor, as in
+        # kkt_report and bound_report.
+        g = build_graph(3, [(0, 1, 1.0)], q=[0.01 + 1e-13, 0.01, 0.5], q_min=0.01)
+        row = compute_metrics(self._result(g))
+        assert row.u_q == pytest.approx(2.0 / 3.0)
+        assert row.q_bar == 0.5
+
+    def test_single_vertex_graph_rejected(self):
+        g = build_graph(1, [], q=[1.0], q_min=0.01)
+        with pytest.raises(GraphValidationError, match="at least 2 vertices"):
+            compute_metrics(self._result(g))
 
 
 class TestRunExperiment:
@@ -226,6 +239,14 @@ class TestBoundCurves:
             "bound_baseline_r1",
         }
         assert np.isinf(curves["bound_proposed_r0.1"][0])
+
+    @pytest.mark.parametrize(
+        "ranges, sill",
+        [([0.0], 10.0), ([0.1, -0.1], 10.0), ([float("nan")], 10.0), ([0.1], -10.0)],
+    )
+    def test_invalid_variogram_rejected(self, ranges, sill):
+        with pytest.raises(GraphValidationError, match="variogram"):
+            bound_curves(ranges, sill=sill)
 
     def test_proposed_below_baseline_everywhere(self):
         d, curves = bound_curves([0.01, 0.02, 0.1, 0.2, 1.0])

@@ -83,6 +83,14 @@ class TestLearn:
         graph = cio.read_graph_json(out)
         assert graph.q is None
 
+    def test_screened_baseline_rejected(self, tmp_path, synth_files, capsys):
+        cov, _ = synth_files
+        out = tmp_path / "base.json"
+        assert run("learn", "--cov", str(cov), "--method", "baseline", "--screen",
+                   "--out", str(out)) == 1
+        assert "joint method only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_covariance_file(self, tmp_path, capsys):
         status = run("learn", "--cov", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "g.json"))
@@ -255,6 +263,13 @@ class TestExperimentAndBounds:
     def test_unknown_method_rejected(self, capsys):
         assert run("experiment", "--methods", "magic", "--trials", "1", "--n", "5") == 1
         assert "unknown method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--ranges", "0"), ("--ranges=0.1,-0.1",), ("--sill", "-10")])
+    def test_bounds_rejects_invalid_variogram(self, tmp_path, capsys, argv):
+        out = tmp_path / "curves.csv"
+        assert run("bounds", *argv, "--out", str(out)) == 1
+        assert "variogram" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _without_time_column(text):

@@ -17,7 +17,7 @@ from covgraph import (
     learn_joint,
 )
 import covgraph.learn
-from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
+from covgraph.bench import VariogramSpec, run_experiment, sample_locations, variogram_covariance
 from covgraph.graphs import laplacian_from_pairs
 from covgraph.learn import epoch, learn
 from covgraph.solver import refresh_phi
@@ -287,3 +287,11 @@ class TestConfigValidation:
     def test_bad_epochs(self):
         with pytest.raises(GraphValidationError):
             LearnConfig(max_epochs=0)
+
+    def test_screening_rejected_for_baseline(self):
+        # Screening drops the pairs with S_ij <= 0, where baseline optima
+        # can carry weight.
+        with pytest.raises(GraphValidationError, match="joint method only"):
+            LearnConfig(method="baseline", screen=True)
+        with pytest.raises(GraphValidationError, match="joint method only"):
+            run_experiment([0.1], n=6, trials=1, config=LearnConfig(screen=True))

@@ -483,7 +483,7 @@ class TestMonotoneDescent:
     @given(random_states(), st.integers(1, 3))
     def test_every_update_descends(self, state, sweeps):
         updates = [lambda e=e: edge_update(state, e) for e in range(state.m)]
-        if state.mode == "joint":
+        if state.q is not None:
             updates += [lambda i=i: vertex_update(state, i) for i in range(state.n)]
         for _ in range(sweeps):
             for update in updates:
@@ -516,7 +516,7 @@ class TestBatchedUpdates:
         for sweep in range(sweeps):
             sweep_edges(state)
             sweep_edges_loop(reference)
-            if state.mode == "joint":
+            if state.q is not None:
                 sweep_vertices(state)
                 sweep_vertices_loop(reference)
             if sweep == 0:
@@ -534,7 +534,7 @@ class TestBatchedUpdates:
         error = np.max(np.abs(state.phi - direct), initial=0.0)
         assert error <= 1e-12 * np.max(np.abs(direct), initial=0.0) + loop_error
         np.testing.assert_allclose(state.w, reference.w, rtol=0, atol=1e-12)
-        if state.mode == "joint":
+        if state.q is not None:
             np.testing.assert_allclose(state.q, reference.q, rtol=0, atol=1e-12)
         assert abs(state.objective - evaluate_objective(state)) <= 1e-12 * abs(state.objective)
 
