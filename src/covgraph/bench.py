@@ -182,11 +182,14 @@ def run_experiment(
     averages, with one warning per (method, range) giving their count. Rows
     are emitted baseline-first, ranges in the given order. ``parallel`` > 1
     runs trials in worker processes; results are merged in deterministic
-    trial order either way. An unknown method raises
-    :class:`GraphValidationError` before any trial runs.
+    trial order either way. An empty ``ranges`` or ``methods``, or an
+    unknown method, raises :class:`GraphValidationError` before any trial
+    runs.
     """
     if trials < 1:
         raise GraphValidationError("trials must be at least 1")
+    if len(ranges) == 0 or len(methods) == 0:
+        raise GraphValidationError("ranges and methods must not be empty")
     template = config or LearnConfig()
     configs = {method: replace(template, method=method) for method in methods}
 
@@ -243,9 +246,16 @@ def bound_curves(ranges, sill=10.0, d_max=1.5, steps=151):
 
     Returns ``(d_grid, curves)`` with one joint-model and one baseline curve
     per range, keyed ``bound_proposed_r{r}`` and ``bound_baseline_r{r}``;
-    values at d = 0 are infinite. Every range must give a valid
-    :class:`VariogramSpec` with ``sill``.
+    values at d = 0 are infinite. ``ranges`` must not be empty, every range
+    must give a valid :class:`VariogramSpec` with ``sill``, ``d_max`` must
+    be positive and finite and ``steps`` at least 1.
     """
+    if len(ranges) == 0:
+        raise GraphValidationError("ranges must not be empty")
+    if not (np.isfinite(d_max) and d_max > 0):
+        raise GraphValidationError(f"d_max must be positive and finite, got {d_max!r}")
+    if steps < 1:
+        raise GraphValidationError(f"steps must be at least 1, got {steps!r}")
     for r in ranges:
         VariogramSpec(sill=sill, range_=r)
     d = np.linspace(0.0, float(d_max), int(steps))

@@ -203,6 +203,17 @@ class TestRunExperiment:
             )
         assert calls["count"] == 0
 
+    @pytest.mark.parametrize("ranges, methods", [([], ("joint",)), ([0.5], ()), ([], ())])
+    def test_empty_lists_raise_before_any_trial(self, monkeypatch, ranges, methods):
+        import covgraph.bench as bench
+
+        def no_trial(*task):
+            raise AssertionError("no trial may run")
+
+        monkeypatch.setattr(bench, "_run_trial", no_trial)
+        with pytest.raises(GraphValidationError, match="must not be empty"):
+            bench.run_experiment(ranges, n=6, trials=1, methods=methods, config=self.CONFIG)
+
     def test_unconverged_trials_kept_with_one_warning_per_cell(self):
         import covgraph.bench as bench
 
@@ -247,6 +258,27 @@ class TestBoundCurves:
     def test_invalid_variogram_rejected(self, ranges, sill):
         with pytest.raises(GraphValidationError, match="variogram"):
             bound_curves(ranges, sill=sill)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ranges": []}, "ranges must not be empty"),
+            ({"d_max": -1.0}, "d_max"),
+            ({"d_max": 0.0}, "d_max"),
+            ({"d_max": float("nan")}, "d_max"),
+            ({"d_max": float("inf")}, "d_max"),
+            ({"steps": 0}, "steps"),
+            ({"steps": -3}, "steps"),
+        ],
+    )
+    def test_invalid_grid_rejected(self, kwargs, message):
+        with pytest.raises(GraphValidationError, match=message):
+            bound_curves(**{"ranges": [0.1], **kwargs})
+
+    def test_single_step_grid(self):
+        d, curves = bound_curves([0.1], steps=1)
+        assert d.tolist() == [0.0]
+        assert np.isinf(curves["bound_proposed_r0.1"]).all()
 
     def test_proposed_below_baseline_everywhere(self):
         d, curves = bound_curves([0.01, 0.02, 0.1, 0.2, 1.0])

@@ -272,6 +272,36 @@ class TestExperimentAndBounds:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--d-max", "-1"), "d_max"),
+            (("--d-max", "0"), "d_max"),
+            (("--steps", "0"), "steps"),
+            (("--ranges", ""), "ranges must not be empty"),
+            (("--ranges", ","), "ranges must not be empty"),
+        ],
+    )
+    def test_bounds_rejects_invalid_grid_and_empty_ranges(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "curves.csv"
+        assert run("bounds", "--ranges", "0.1", *argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("--ranges", ""), ("--methods", ""), ("--methods", " , ")])
+    def test_experiment_rejects_empty_lists(self, tmp_path, capsys, monkeypatch, argv):
+        import covgraph.bench as bench
+
+        def no_trial(*task):
+            raise AssertionError("no trial may run")
+
+        monkeypatch.setattr(bench, "_run_trial", no_trial)
+        out = tmp_path / "table.csv"
+        assert run("experiment", "--trials", "1", "--n", "5", *argv, "--out", str(out)) == 1
+        assert "must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _without_time_column(text):
     return [line.rsplit(",", 1)[0] for line in text.split("\n")]
 

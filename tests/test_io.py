@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgraph import GraphValidationError, build_graph, laplacian, learn_joint
 from covgraph import io as cio
@@ -90,6 +92,78 @@ class TestGraphJson:
         path.write_text("{not json")
         with pytest.raises(GraphValidationError, match="JSON"):
             cio.read_graph_json(path)
+
+
+# Doubles at the edges of the format: signed zeros, the smallest subnormal
+# and normal numbers, and magnitudes with exponents near -308 and +308.
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-308,
+            1e308, -1.7976931348623157e308, 1.7976931348623157e308)
+finite = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False))
+positive = st.one_of(st.sampled_from([x for x in EXTREMES if x > 0]),
+                     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Exactly symmetric matrices with a positive diagonal, entries drawn
+    from the whole finite double range."""
+    n = draw(st.integers(1, 6))
+    S = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    S[iu] = draw(st.lists(finite, min_size=len(iu[0]), max_size=len(iu[0])))
+    S.T[iu] = S[iu]
+    S[np.diag_indices(n)] = draw(st.lists(positive, min_size=n, max_size=n))
+    return S
+
+
+@st.composite
+def graphs(draw, joint):
+    """Graphs with weights and importances from the whole positive double
+    range; some drawn weights are signed zeros, which the graph drops."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    edges = [(i, j, draw(st.one_of(positive, st.sampled_from([0.0, -0.0])))) for i, j in chosen]
+    if not joint:
+        return build_graph(n, edges)
+    q = np.array(draw(st.lists(positive, min_size=n, max_size=n)))
+    q_min = draw(st.sampled_from([float(q.min()), 5e-324]))
+    return build_graph(n, edges, q=q, q_min=q_min)
+
+
+class TestRoundTripProperties:
+    """Every writer/reader pair reproduces every finite double bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_matrices())
+    def test_covariance_csv(self, tmp_path_factory, S):
+        path = tmp_path_factory.mktemp("cov") / "cov.csv"
+        cio.write_covariance_csv(path, S)
+        assert cio.read_covariance_csv(path).entries.tobytes() == S.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(finite, min_size=2 * n, max_size=2 * n)))
+    def test_points_csv(self, tmp_path_factory, values):
+        points = np.array(values).reshape(-1, 2)
+        path = tmp_path_factory.mktemp("pts") / "pts.csv"
+        cio.write_points_csv(path, points)
+        assert cio.read_points_csv(path).tobytes() == points.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans().flatmap(graphs))
+    def test_graph_json(self, tmp_path_factory, g):
+        path = tmp_path_factory.mktemp("graph") / "graph.json"
+        cio.write_graph_json(path, g)
+        back = cio.read_graph_json(path)
+        assert back.n == g.n
+        assert [(i, j) for i, j, _ in back.edges] == [(i, j) for i, j, _ in g.edges]
+        weights = np.array([w for _, _, w in back.edges])
+        assert weights.tobytes() == np.array([w for _, _, w in g.edges]).tobytes()
+        assert (back.q is None) == (g.q is None)
+        if g.q is not None:
+            assert back.q.tobytes() == g.q.tobytes()
+            assert np.float64(back.q_min).tobytes() == np.float64(g.q_min).tobytes()
 
 
 class TestMetaSidecar:

@@ -9,6 +9,7 @@ one).
 """
 import copy
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
 from covgraph.solver import (
     _MIN_SCAN_RUN,
     _MIN_BATCH_N,
+    _SCREEN_MARGIN,
     _is_connected,
     _rank_one_update,
     model_inverse,
@@ -398,6 +400,18 @@ class TestEdgeSweepMatchesLoop:
         assert_sweeps_match_loop(state, sweeps=1)
         assert np.isnan(state.objective)
 
+    def test_nan_step_before_nonzero_edges_is_applied(self):
+        # After a NaN step no bound holds: every later run, even an empty
+        # one between two nonzero edges, goes to the per-edge arithmetic.
+        n = 12
+        w = np.zeros(66)
+        w[[20, 21, 22, 40]] = 0.3
+        state = init_state(kernel_spd_covariance(n, seed=5), all_pairs(n), w, q0=1.0, q_min=1e-4)
+        i, j = state.pairs[12]
+        state.phi[i, j] = state.phi[j, i] = np.nan
+        assert_sweeps_match_loop(state, sweeps=1)
+        assert np.isnan(state.w[13:]).all()
+
     def test_baseline_singularity_clip(self):
         state = init_state(S2, [(0, 1)], [1.0])
         state.w[0] = 3e12
@@ -560,7 +574,9 @@ class TestBatchedUpdates:
         # At n = 11 with three updates pending, a scan covers at most
         # 121 // 3 = 40 edges. Only the last of the 55 pairs is correlated,
         # and phi stays diagonal with exact entries, so every other step is
-        # exactly 0: the first piece has no mover and the scan goes on.
+        # exactly 0: the first piece has no mover and the scan goes on. Those
+        # steps are 0 because r = h, so the screen keeps every edge, and the
+        # sweep's ratio pass reads the same two pieces before the scan does.
         S = np.eye(11)
         S[9, 10] = S[10, 9] = 0.9
         with batched_path():
@@ -575,5 +591,74 @@ class TestBatchedUpdates:
 
         monkeypatch.setattr(covgraph.solver, "pair_quadratic", recording)
         sweep_edges(state)
-        assert lengths == [40, 15]
+        assert lengths == [40, 15, 40, 15]
         assert np.flatnonzero(state.w).tolist() == [54]
+
+
+class TestScreen:
+    """The zero-run screen of ``sweep_edges``: the growth bound G it keeps
+    holds, and it skips only edges the per-edge loop leaves at 0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_states(), zero_run_states()))
+    def test_resistances_stay_within_the_growth_bound(self, state):
+        # The bound covers every update since the edge sweep read its
+        # ratios, the vertex sweep's included, and every edge, moved or not.
+        h = state.edge_costs
+        rho = pair_quadratic(state.phi, state.idx_i, state.idx_j) / h
+        epoch(state)
+        assert state._growth >= 1.0
+        r = pair_quadratic(state.phi, state.idx_i, state.idx_j)
+        assert np.all(r <= rho * h * state._growth * (1.0 + 1e-12))
+
+    @staticmethod
+    def near_converged_state(batched):
+        """Joint state of a desk-like problem (n = 30, r = 0.1) after 40
+        epochs: the support still changes, and about a fifth of the zero
+        runs can be skipped."""
+        sample = sample_locations(30, seed=1)
+        S = variogram_covariance(sample, VariogramSpec(range_=0.1))
+        pairs = all_pairs(30)
+        with batched_path() if batched else nullcontext():
+            state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+        for _ in range(40):
+            epoch(state)
+        return state
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_screened_sweep_is_bit_identical_and_skips(self, monkeypatch, batched):
+        state = self.near_converged_state(batched)
+        assert (state._pending is not None) == batched
+        unscreened = copy.deepcopy(state)
+        loop = copy.deepcopy(state)
+        rho = pair_quadratic(copy.deepcopy(state).phi, state.idx_i, state.idx_j) / state.edge_costs
+        limit = 1.0 - _SCREEN_MARGIN
+        zero = state.w == 0
+        runs = np.count_nonzero(zero & ~np.concatenate(([False], zero[:-1])))
+        spans = []
+        scan = covgraph.solver._sweep_zero_run
+
+        def counting(s, start, stop):
+            spans.append((start, stop, s._growth))
+            scan(s, start, stop)
+
+        monkeypatch.setattr(covgraph.solver, "_sweep_zero_run", counting)
+        change = sweep_edges(state)
+        assert 0 < len(spans) < runs
+        for start, stop, growth in spans:
+            # Each span begins and ends with an edge the screen cannot skip.
+            assert not rho[start] * growth <= limit
+            assert not rho[stop - 1] * growth <= limit
+
+        # Against the sweep with the screen off (every run handed whole to
+        # the scan) on both paths, and the per-edge loop on the immediate one.
+        monkeypatch.setattr(covgraph.solver, "_SCREEN_MARGIN", np.inf)
+        references = [(unscreened, sweep_edges(unscreened))]
+        if not batched:
+            references.append((loop, sweep_edges_loop(loop)))
+        for reference, expected in references:
+            assert np.float64(change).tobytes() == np.float64(expected).tobytes()
+            assert state.phi.tobytes() == reference.phi.tobytes()
+            assert state.w.tobytes() == reference.w.tobytes()
+            assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
+            assert state.updates_since_refresh == reference.updates_since_refresh
