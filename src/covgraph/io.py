@@ -127,6 +127,8 @@ def write_learn_meta_json(dest, result) -> None:
         "epochs": int(result.epochs_run),
         "converged": bool(result.converged),
         "wall_time_s": float(result.wall_time_seconds),
+        "max_refresh_drift": float(result.max_refresh_drift),
+        "singularity_clips": int(result.singularity_clips),
     }
     _write_json(dest, payload)
 

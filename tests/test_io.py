@@ -176,9 +176,13 @@ class TestMetaSidecar:
         path = tmp_path / "g.meta.json"
         cio.write_learn_meta_json(path, result)
         data = json.loads(path.read_text())
-        assert set(data) == {"objective", "epochs", "converged", "wall_time_s"}
+        assert set(data) == {
+            "objective", "epochs", "converged", "wall_time_s", "max_refresh_drift", "singularity_clips",
+        }
         assert data["converged"] is True
         assert data["objective"] == result.objective
+        assert data["max_refresh_drift"] == result.max_refresh_drift
+        assert data["singularity_clips"] == result.singularity_clips == 0
 
 
 class TestReportsAndTables:

