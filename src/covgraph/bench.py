@@ -141,6 +141,7 @@ def _run_trial(method, r, n, seed, template: LearnConfig):
     config = replace(
         template,
         method=method,
+        protocol="paper",
         init="kernel",
         points=sample.points,
         init_weights=None,
@@ -176,7 +177,9 @@ def run_experiment(
     """Average trial metrics per (method, range).
 
     Trial k uses seed ``base_seed + k``, so every method sees the same
-    locations and the same kernel initialization. Failed trials (a numerical
+    locations and the same kernel initialization. Every trial runs the
+    paper's stop protocol (``protocol="paper"``), whatever the template
+    says, so the table is the paper's table. Failed trials (a numerical
     singularity in the baseline) are excluded from the averages with an
     explicit warning; trials that stopped at ``max_epochs`` stay in the
     averages, with one warning per (method, range) giving their count. Rows

@@ -129,6 +129,9 @@ def write_learn_meta_json(dest, result) -> None:
         "wall_time_s": float(result.wall_time_seconds),
         "max_refresh_drift": float(result.max_refresh_drift),
         "singularity_clips": int(result.singularity_clips),
+        "protocol": result.protocol,
+        "kkt_residual": float(result.kkt_residual),
+        "duality_gap": float(result.duality_gap),
     }
     _write_json(dest, payload)
 

@@ -72,7 +72,7 @@ to ``c * np.outer(v, v)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan, log1p
+from math import isnan, log, log1p
 
 import numpy as np
 
@@ -121,6 +121,22 @@ _SCREEN_MARGIN = 1e-9
 # 8.3, 7.2 and 6.9 s (medians of 2), 64 within the spread of 32's runs.
 _MIN_BATCH_N = 112
 _BATCH_SIZE = 32
+
+# Importances are clamped to the floor exactly, so "at the floor" is an
+# equality test with a tiny absolute guard.
+FLOOR_TOL = 1e-12
+
+# Relative residual at which newton_step stops its conjugate-gradient solve,
+# and the most iterations it runs. Measured on joint-large (n = 200, r = 1,
+# kernel init, Intel Xeon, numpy 2.4, 1 BLAS thread): ...
+NEWTON_CG_TOL = 1e-3
+NEWTON_CG_MAX_ITER = 200
+
+# Armijo constant and backtracking factor of newton_step's line search, and
+# the most trial points it evaluates before it gives the step up.
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+_MAX_TRIALS = 30
 
 
 class SingularModelError(RuntimeError):
@@ -345,6 +361,178 @@ def refresh_phi(state) -> float:
     state.objective = model_objective(L, state.q, state.S)
     state.updates_since_refresh = 0
     return drift
+
+
+def max_residual(gap, free) -> float:
+    """Largest |gap| over free coordinates and positive gap over bound ones:
+    the stationarity residual of coordinate steps ``gap``."""
+    residual = np.where(free, np.abs(gap), np.maximum(gap, 0.0))
+    return float(np.max(residual, initial=0.0))
+
+
+def certificate(state):
+    """(KKT residual, duality gap) of the state, read off its phi, which the
+    caller has just refreshed; one pass over the pairs.
+
+    The residual is that of :func:`covgraph.verify.kkt_report` over the
+    state's pairs: the largest edge or vertex step 1/h - 1/r or
+    1/S_ii - 1/phi_ii that stationarity forbids. The gap bounds the
+    objective's distance to the optimum from above. By Fenchel duality,
+    -logdet Theta >= logdet X + n - tr(Theta X) for every X > 0, and X is
+    dual feasible when r_e(X) <= h_e on every pair and, in the joint model,
+    X_ii <= S_ii. Scaling phi by t = max(1, max r_e / h_e, max phi_ii / S_ii)
+    makes it feasible, and the gap at X = phi / t is
+
+        tr(Theta S) - n + n log t - q_min sum_i (S_ii - phi_ii / t)  (joint)
+        tr(L S) - n + n log t + 1 / t                                (baseline)
+
+    with tr(Theta S) = sum q_i S_ii + sum w_e h_e; the baseline form uses
+    1^T phi 1 = n. It is evaluated with n written as tr(Theta phi), that is
+    sum q_i phi_ii + sum w_e r_e (joint) or sum w_e r_e + 1 (baseline),
+    which leaves n (log t - 1 + 1/t) plus one product per coordinate,
+    w_e (h_e - r_e / t) and (q_i - q_min)(S_ii - phi_ii / t). Each of them
+    is nonnegative, because X is feasible, and the clamps below drop only
+    the rounding of the division by t. The gap is 0 at the optimum, by
+    complementary slackness.
+    """
+    phi = state.phi
+    r = pair_quadratic(phi, state.idx_i, state.idx_j)
+    edge_gap = state._inv_costs - 1.0 / r
+    residual = max_residual(edge_gap, state.w > 0.0)
+    ratios = [1.0, float(np.max(r / state.edge_costs, initial=0.0))]
+    if state.q is not None:
+        u = phi.diagonal()
+        free = state.q > state.q_min + FLOOR_TOL
+        residual = max(residual, max_residual(1.0 / state._sdiag - 1.0 / u, free))
+        ratios.append(float(np.max(u / state._sdiag)))
+    t = max(ratios)
+    gap = state.n * max(log(t) - 1.0 + 1.0 / t, 0.0)
+    gap += float(state.w @ np.maximum(state.edge_costs - r / t, 0.0))
+    if state.q is not None:
+        gap += float((state.q - state.q_min) @ np.maximum(state._sdiag - u / t, 0.0))
+    return residual, gap
+
+
+def _pcg(product, b, inv_diag):
+    """Solve H x = b by conjugate gradients preconditioned with the inverse
+    diagonal ``inv_diag``; ``product(p)`` returns H p. Stops once the
+    residual falls to ``NEWTON_CG_TOL`` times |b|, after
+    ``NEWTON_CG_MAX_ITER`` iterations, or on a curvature that rounding made
+    nonpositive. Returns (x, iterations)."""
+    x = np.zeros_like(b)
+    res = b.copy()
+    z = inv_diag * res
+    p = z.copy()
+    rz = float(res @ z)
+    target = NEWTON_CG_TOL * float(np.linalg.norm(b))
+    for it in range(1, NEWTON_CG_MAX_ITER + 1):
+        hp = product(p)
+        curvature = float(p @ hp)
+        if not curvature > 0.0:
+            return x, it
+        alpha = rz / curvature
+        x += alpha * p
+        res -= alpha * hp
+        if np.linalg.norm(res) <= target:
+            return x, it
+        z = inv_diag * res
+        rz, rz_old = float(res @ z), rz
+        p *= rz / rz_old
+        p += z
+    return x, NEWTON_CG_MAX_ITER
+
+
+def hessian_product(phi, idx_i, idx_j, vertices, d) -> np.ndarray:
+    """H d for the objective's Hessian H over the edge coordinates of pairs
+    (idx_i, idx_j) followed by the importance coordinates ``vertices``, at
+    the model inverse ``phi``; ``d`` holds one entry per coordinate, in that
+    order.
+
+    H_ab = (u_a^T phi u_b)^2, with u the incidence vector of an edge or the
+    unit vector of a vertex, so (H d)_a = u_a^T (phi D phi) u_a with
+    D = sum_b d_b u_b u_b^T = L(d_edges) + diag(d_vertices): two n x n
+    matrix products, read like the edge costs and the diagonal.
+    """
+    k = len(idx_i)
+    D = laplacian_from_pairs(phi.shape[0], idx_i, idx_j, d[:k])
+    D[vertices, vertices] += d[k:]
+    M = phi @ D @ phi
+    return np.concatenate([pair_quadratic(M, idx_i, idx_j), M.diagonal()[vertices]])
+
+
+def newton_step(state):
+    """One projected Newton step on all coordinates; returns (step length,
+    CG iterations), with step length 0.0 when no trial point passed the line
+    search and the state was left as it was.
+
+    Follows Bertsekas's projected Newton method (SIAM J. Control Optim.
+    1982) on x = (w, q) >= (0, q_min). The gradient g is read off phi:
+    h_e - r_e for an edge and S_ii - phi_ii for an importance. The Hessian
+    is G o G with G = U^T phi U, U holding the incidence vectors of the
+    pairs and the unit vectors of the vertices, so its diagonal is r_e^2
+    and phi_ii^2. A coordinate is free when it is off its bound (w > 0,
+    q > q_min) or its gradient points inward; the others stay put. The free
+    coordinates take the Newton step d of their block of H, solved by
+    conjugate gradients with the Jacobi preconditioner; each product with H
+    is :func:`hessian_product`, two n x n matrix products, and no matrix
+    over the free coordinates is formed. Trial points x(a) = P[x + a d],
+    with P the projection onto the bounds, start at a = 1 and shrink by
+    ``_BACKTRACK`` until ``model_objective`` falls below the state's
+    objective by ``_ARMIJO`` times -g^T (x(a) - x), and never rises; a
+    baseline trial point whose model matrix is singular fails the test. An
+    accepted point gets phi and the objective from scratch. A step can
+    leave tiny weights that belong at zero; the coordinate epoch after it
+    clears them.
+
+    Reading phi flushes pending updates; phi may carry the rounding drift of
+    the epochs since it was last inverted, which moves the gradient by far
+    less than the exit tolerance of the learning loop.
+    """
+    phi = state.phi
+    n, m = state.n, state.m
+    joint = state.q is not None
+    r = pair_quadratic(phi, state.idx_i, state.idx_j)
+    x, grad, hdiag = state.w, state.edge_costs - r, r * r
+    lower = np.zeros(m)
+    if joint:
+        u = phi.diagonal()
+        x = np.concatenate([x, state.q])
+        grad = np.concatenate([grad, state._sdiag - u])
+        hdiag = np.concatenate([hdiag, u * u])
+        lower = np.concatenate([lower, np.full(n, state.q_min)])
+    free = np.flatnonzero((x > lower) | (grad < 0.0))
+    edges = free[free < m]
+    vertices = free[len(edges):] - m
+    fi, fj = state.idx_i[edges], state.idx_j[edges]
+    step = np.zeros_like(x)
+    iterations = 0
+    if free.size:
+        step[free], iterations = _pcg(
+            lambda d: hessian_product(phi, fi, fj, vertices, d), -grad[free], 1.0 / hdiag[free]
+        )
+    alpha = 1.0
+    for _ in range(_MAX_TRIALS):
+        trial = np.maximum(x + alpha * step, lower)
+        bound = state.objective + _ARMIJO * min(float(grad @ (trial - x)), 0.0)
+        w = trial[:m]
+        q = trial[m:] if joint else None
+        L = laplacian_from_pairs(n, state.idx_i, state.idx_j, w)
+        try:
+            objective = model_objective(L, q, state.S)
+            if objective <= bound:
+                state.phi = model_inverse(L, q)
+                break
+        except SingularModelError:
+            pass
+        alpha *= _BACKTRACK
+    else:
+        return 0.0, iterations
+    state.w[:] = w
+    if joint:
+        state.q[:] = q
+    state.objective = objective
+    state.updates_since_refresh = 0
+    return alpha, iterations
 
 
 def _rank_one_update(state, v, c):

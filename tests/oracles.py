@@ -162,6 +162,30 @@ def sweep_vertices_loop(state):
     return state.objective - before
 
 
+def explicit_hessian(phi, pairs, vertices):
+    """Hessian of the objective at model inverse ``phi`` over the edge
+    coordinates of ``pairs`` followed by the importance coordinates
+    ``vertices``: G o G with G = U^T phi U, where U holds the incidence
+    vectors and then the unit vectors, G assembled one pair of coordinates
+    at a time."""
+    n = phi.shape[0]
+    columns = []
+    for i, j in pairs:
+        u = np.zeros(n)
+        u[i], u[j] = 1.0, -1.0
+        columns.append(u)
+    for i in vertices:
+        u = np.zeros(n)
+        u[i] = 1.0
+        columns.append(u)
+    k = len(columns)
+    G = np.empty((k, k))
+    for a in range(k):
+        for b in range(k):
+            G[a, b] = columns[a] @ phi @ columns[b]
+    return G * G
+
+
 def screen_pairs_loop(S):
     """Pairs (i, j), i < j, with a strictly positive covariance entry."""
     n = S.shape[0]

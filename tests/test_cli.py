@@ -7,6 +7,7 @@ import pytest
 from covgraph import build_graph
 from covgraph import io as cio
 from covgraph.cli import main
+from covgraph.learn import KKT_EXIT
 from _support import kernel_spd_covariance
 
 
@@ -73,6 +74,39 @@ class TestLearn:
         meta = json.loads((tmp_path / "graph.meta.json").read_text())
         assert meta["converged"] is True
         assert meta["epochs"] >= 1
+
+    @pytest.mark.parametrize("protocol", ["optimum", "paper"])
+    def test_protocol_recorded_in_meta(self, tmp_path, synth_files, protocol):
+        cov, pts = synth_files
+        out = tmp_path / "graph.json"
+        assert run("learn", "--cov", str(cov), "--points", str(pts), "--protocol", protocol,
+                   "--out", str(out)) == 0
+        meta = json.loads((tmp_path / "graph.meta.json").read_text())
+        assert meta["protocol"] == protocol and meta["converged"] is True
+        assert meta["duality_gap"] >= 0.0
+        if protocol == "optimum":
+            assert meta["kkt_residual"] <= KKT_EXIT
+
+    def test_unknown_protocol_exits_one(self, tmp_path, synth_files, capsys):
+        cov, _ = synth_files
+        out = tmp_path / "graph.json"
+        assert run("learn", "--cov", str(cov), "--protocol", "fast", "--out", str(out)) == 1
+        assert "--protocol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "protocol, missed",
+        [("optimum", f"before the KKT residual reached {KKT_EXIT:g}"),
+         ("paper", "before an epoch changed the objective by less than --tol 1e-10")],
+    )
+    def test_unconverged_run_warns_and_exits_zero(self, tmp_path, synth_files, capsys, protocol, missed):
+        cov, pts = synth_files
+        out = tmp_path / "graph.json"
+        assert run("learn", "--cov", str(cov), "--points", str(pts), "--protocol", protocol,
+                   "--max-epochs", "1", "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: stopped at max_epochs=1 ") and missed in err
+        assert json.loads((tmp_path / "graph.meta.json").read_text())["converged"] is False
 
     def test_baseline_learn(self, tmp_path, synth_files):
         cov, pts = synth_files

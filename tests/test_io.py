@@ -178,8 +178,12 @@ class TestMetaSidecar:
         data = json.loads(path.read_text())
         assert set(data) == {
             "objective", "epochs", "converged", "wall_time_s", "max_refresh_drift", "singularity_clips",
+            "protocol", "kkt_residual", "duality_gap",
         }
         assert data["converged"] is True
+        assert data["protocol"] == "optimum"
+        assert data["kkt_residual"] == result.kkt_residual
+        assert data["duality_gap"] == result.duality_gap
         assert data["objective"] == result.objective
         assert data["max_refresh_drift"] == result.max_refresh_drift
         assert data["singularity_clips"] == result.singularity_clips == 0

@@ -21,10 +21,17 @@ from covgraph import (
     learn_cgl_baseline,
     learn_joint,
 )
+import covgraph.bench
 import covgraph.learn
-from covgraph.bench import VariogramSpec, run_experiment, sample_locations, variogram_covariance
+from covgraph.bench import (
+    EDGE_PRESENCE_TOL,
+    VariogramSpec,
+    run_experiment,
+    sample_locations,
+    variogram_covariance,
+)
 from covgraph.graphs import laplacian_from_pairs
-from covgraph.learn import epoch, learn
+from covgraph.learn import KKT_EXIT, epoch, learn
 from covgraph.solver import refresh_phi
 from _support import batched_path, edge_weight_map, kernel_spd_covariance
 from oracles import minimize_baseline_objective, minimize_joint_objective, sweep_edges_loop
@@ -282,7 +289,8 @@ class TestRunRecord:
         monkeypatch.setattr(covgraph.learn, "init_state", recording_init)
         sample = sample_locations(20, seed=0)
         S = variogram_covariance(sample, VariogramSpec(range_=0.2))
-        result = learn(S, LearnConfig(method=method, init="kernel", points=sample.points))
+        config = LearnConfig(method=method, protocol="paper", init="kernel", points=sample.points)
+        result = learn(S, config)
         assert len(drifts) == result.epochs_run // covgraph.learn.REFRESH_EVERY + 1 >= 2
         assert result.max_refresh_drift == max(drifts) > 0.0
         assert result.singularity_clips == states[0].singularity_clips >= 3
@@ -354,3 +362,102 @@ class TestConfigValidation:
             LearnConfig(method="baseline", screen=True)
         with pytest.raises(GraphValidationError, match="joint method only"):
             run_experiment([0.1], n=6, trials=1, config=LearnConfig(screen=True))
+
+
+def desk_problem(trial, r, n=50):
+    """Locations and covariance of one trial of the spatial benchmark."""
+    sample = sample_locations(n, seed=trial)
+    return sample, variogram_covariance(sample, VariogramSpec(range_=r))
+
+
+def kernel_config(sample, **kwargs):
+    return LearnConfig(init="kernel", points=sample.points, **kwargs)
+
+
+class TestPaperProtocol:
+    @pytest.mark.parametrize(
+        "method, objective, epochs",
+        [("joint", "68.72442549137193", 74), ("baseline", "62.05286702381923", 56)],
+    )
+    def test_criterion_8_trials_unchanged(self, method, objective, epochs):
+        # Trial 0 at r = 1 of the criterion-8 table; the values are those of
+        # the learning loop before the "optimum" protocol was added.
+        sample, S = desk_problem(0, 1.0)
+        config = kernel_config(sample, method=method, protocol="paper", stop_tol=1e-10, max_epochs=1000)
+        result = learn(S, config)
+        assert repr(float(result.objective)) == objective
+        assert result.epochs_run == epochs
+        assert len(result.history) == epochs + 1
+        assert result.converged and result.protocol == "paper"
+
+    def test_run_experiment_forces_paper(self, monkeypatch):
+        protocols = []
+
+        def recording_learn(S, config):
+            protocols.append(config.protocol)
+            return learn(S, config)
+
+        monkeypatch.setattr(covgraph.bench, "learn", recording_learn)
+        run_experiment([0.5], n=6, trials=1, config=LearnConfig(protocol="optimum"))
+        assert protocols == ["paper", "paper"]
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(GraphValidationError, match="unknown protocol 'fast'"):
+            LearnConfig(protocol="fast")
+
+
+DESK_SPECS = [(trial, r) for trial in range(7) for r in (0.01, 0.02, 0.1, 0.2, 1.0)]
+
+
+class TestCertifiedOptimum:
+    def test_joint_desk_specs_pass_kkt(self):
+        for trial, r in DESK_SPECS:
+            sample, S = desk_problem(trial, r)
+            result = learn_joint(S, kernel_config(sample))
+            report = kkt_report(result, S)
+            assert result.converged and result.kkt_residual <= KKT_EXIT, (trial, r)
+            assert report.passed, (trial, r, report)
+            reported = max(report.max_edge_residual, report.max_vertex_residual)
+            assert result.kkt_residual == pytest.approx(reported, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("trial, r", [(4, 0.1), (6, 0.2), (6, 1.0)])
+    def test_criterion_8_baselines_pass_kkt(self, trial, r):
+        # The paper protocol stops these three at max_epochs short of the gate.
+        sample, S = desk_problem(trial, r)
+        result = learn_cgl_baseline(S, kernel_config(sample, method="baseline"))
+        assert result.converged and result.kkt_residual <= KKT_EXIT
+        assert kkt_report(result, S).passed
+
+    @pytest.mark.parametrize("trial", [0, 6])
+    def test_uniform_and_kernel_starts_keep_the_same_support(self, trial):
+        # The optimum is unique, so its support does not depend on the start.
+        sample, S = desk_problem(trial, 0.01)
+        supports = []
+        for config in (LearnConfig(), kernel_config(sample)):
+            result = learn_joint(S, config)
+            assert result.converged
+            supports.append({(i, j) for i, j, w in result.graph.edges if w > EDGE_PRESENCE_TOL})
+        assert supports[0] == supports[1]
+
+
+def certificate_cases():
+    """Results of both methods under both protocols, some stopped early."""
+    for trial, r in [(0, 0.1), (1, 1.0), (2, 0.2)]:
+        sample, S = desk_problem(trial, r, n=20)
+        for method in ("joint", "baseline"):
+            optimum = learn(S, kernel_config(sample, method=method))
+            for max_epochs in (3, 1000):
+                config = kernel_config(sample, method=method, protocol="paper", max_epochs=max_epochs)
+                yield S, optimum, learn(S, config)
+
+
+class TestCertificates:
+    def test_gap_is_nonnegative(self):
+        for _, optimum, paper in certificate_cases():
+            for result in (optimum, paper):
+                assert result.duality_gap >= 0.0
+                assert result.kkt_residual >= 0.0
+
+    def test_paper_gap_bounds_its_distance_to_the_optimum(self):
+        for _, optimum, paper in certificate_cases():
+            assert paper.duality_gap >= paper.objective - optimum.objective

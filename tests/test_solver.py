@@ -41,13 +41,21 @@ from covgraph.solver import (
     _SCREEN_MARGIN,
     _is_connected,
     _rank_one_update,
+    hessian_product,
     model_inverse,
+    newton_step,
     pair_quadratic,
     sweep_edges,
     sweep_vertices,
 )
 from _support import batched_path, kernel_spd_covariance
-from oracles import direct_inverse_oracle, is_connected_loop, sweep_edges_loop, sweep_vertices_loop
+from oracles import (
+    direct_inverse_oracle,
+    explicit_hessian,
+    is_connected_loop,
+    sweep_edges_loop,
+    sweep_vertices_loop,
+)
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -459,13 +467,13 @@ class TestRankOneUpdate:
 
 
 @st.composite
-def random_states(draw, modes=("joint", "baseline")):
+def random_states(draw, modes=("joint", "baseline"), max_n=10):
     """A joint or baseline state with random weights, some of them zero.
     Joint importances sit at ``q_min`` or above it, with a floor from far
     below the optimal importances (about 1/S_ii) to above them, so vertex
     steps both move freely and clamp at the floor."""
     mode = draw(st.sampled_from(modes))
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     density = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(seed)
@@ -507,6 +515,36 @@ class TestMonotoneDescent:
                 upd = update()
                 assert upd.delta * upd.cost - math.log1p(upd.delta * upd.effective) <= 0.0
                 assert evaluate_objective(state) <= before + 1e-9 * abs(before)
+
+
+class TestNewtonStep:
+    @settings(max_examples=150, deadline=None)
+    @given(random_states(max_n=8), st.integers(0, 2**32 - 1))
+    def test_hessian_product_matches_explicit_hessian(self, state, seed):
+        # On a random subset of the coordinates, as newton_step's free set.
+        rng = np.random.default_rng(seed)
+        edges = np.flatnonzero(rng.random(state.m) < 0.7)
+        vertices = np.flatnonzero(rng.random(state.n) < 0.7) if state.q is not None else edges[:0]
+        d = rng.standard_normal(len(edges) + len(vertices))
+        phi = state.phi
+        H = explicit_hessian(phi, [state.pairs[e] for e in edges], vertices)
+        got = hessian_product(phi, state.idx_i[edges], state.idx_j[edges], vertices, d)
+        expected = H @ d
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_states(max_n=8))
+    def test_newton_round_never_raises_objective(self, state):
+        before = state.objective
+        alpha, _ = newton_step(state)
+        assert state.objective <= before
+        assert state.objective == evaluate_objective(state)
+        if alpha > 0.0:
+            assert state.phi.tobytes() == model_inverse(state.laplacian(), state.q).tobytes()
+        # The round's coordinate epoch descends too, up to rounding.
+        epoch(state)
+        refresh_phi(state)
+        assert state.objective <= before + 1e-9 * abs(before)
 
 
 @st.composite
