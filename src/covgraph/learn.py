@@ -20,8 +20,9 @@ proceeds and when it stops:
   residual of :func:`covgraph.verify.kkt_report`, is at most ``KKT_EXIT``
   on a freshly refreshed inverse. Rounds go on until the residual reaches
   ``KKT_SETTLE``, where the support no longer depends on the start, or
-  until a certified round fails to lower it, which is where rounding
-  stops Newton's progress. Each Newton step inverts the model matrix at
+  until ``STALL_ROUNDS`` rounds in a row leave its lowest value standing,
+  which is where rounding stops Newton's progress; a stalled run reports
+  whether it is certified. Each Newton step inverts the model matrix at
   its new point, so the rounds decide on the maintained inverse, one
   epoch old, and only the exit refreshes it.
 - ``"paper"`` is the stop protocol of the paper's benchmark table, which
@@ -63,11 +64,13 @@ PROTOCOLS = ("optimum", "paper")
 REFRESH_EVERY = 50
 
 # Epochs of the "optimum" protocol before its first Newton round. Measured
-# on an Intel Xeon with numpy 2.4 and 1 BLAS thread, one run each: the 35
-# joint desk requests (n = 50, trials 0-6, five ranges) took 5.0, 4.5, 4.0,
-# 5.1, 5.4, 6.8, 10.2 and 10.6 s in all for 1, 3, 5, 10, 15, 20, 30 and 40
-# warm epochs; one joint-large learn (n = 200, r = 1) took 2.3-2.7 s with 1,
-# 1.5 s with 3 and 0.9-1.4 s with 5 to 40, in 7 to 4 Newton rounds.
+# on an Intel Xeon with numpy 2.4 and 1 BLAS thread, one run each, stopping
+# at a KKT residual of 1e-8: the 35 joint desk requests (n = 50, trials 0-6,
+# five ranges) took 5.0, 4.5, 4.0, 5.1, 5.4, 6.8, 10.2 and 10.6 s in all
+# for 1, 3, 5, 10, 15, 20, 30 and 40 warm epochs; one joint-large learn
+# (n = 200, r = 1) took 2.3-2.7 s with 1, 1.5 s with 3 and 0.9-1.4 s with
+# 5 to 40, in 7 to 4 Newton rounds. Stopping at KKT_SETTLE, 3, 5 and 10
+# warm epochs took 8.6, 7.5 and 7.7 s for the desk requests.
 WARM_EPOCHS = 5
 
 # Largest KKT residual, on a freshly refreshed inverse, at which an
@@ -82,8 +85,17 @@ KKT_EXIT = 1e-8
 # in 10 problems when stopped at 1e-8, in 6 at 1e-10, in 2 at 1e-11 and in
 # none at 1e-12; joint-large took 12 epochs to 1e-8 and 15 to 1e-12.
 # Rounding binds not far below: at 1e-13 one criterion-8 baseline (trial 6,
-# r = 0.1) stalled at 5.8e-11, which the stall rule of the loop handles.
+# r = 0.1) stalled at 5.8e-11.
 KKT_SETTLE = 1e-12
+
+# Rounds in a row without a new lowest KKT residual after which an
+# "optimum" run stops. The residual is absolute, so its rounding floor
+# grows as the variances shrink: at n = 50 and sills of 1e-6 and 1e-4 it
+# lies above KKT_EXIT, and those runs went on to max_epochs; with 3 they
+# stop unconverged after 16-35 epochs. With 3, all 100 criterion-8
+# problems, twelve at n = 100 and two at n = 200 stop converged, in at
+# most 52 epochs.
+STALL_ROUNDS = 3
 
 
 @dataclass
@@ -249,19 +261,19 @@ def _optimum_run(state: SolverState, config: LearnConfig):
         epoch(state)
         history.append(state.objective)
     drift = 0.0
-    previous = math.inf
+    best, stale = math.inf, 0
     while True:
         capped = state.epoch_counter >= config.max_epochs
         residual = certificate(state)[0]
-        stalled = KKT_SETTLE < residual <= KKT_EXIT and residual >= previous
+        best, stale = (residual, 0) if residual < best else (best, stale + 1)
+        stalled = stale >= STALL_ROUNDS
         if capped or stalled or residual <= KKT_SETTLE:
             # The exit is decided on a refreshed phi.
             drift = max(drift, refresh_phi(state))
             history[-1] = state.objective
             converged = certificate(state)[0] <= KKT_EXIT
-            if converged or capped:
+            if converged or capped or stalled:
                 return history, converged, drift
-        previous = residual
         newton_step(state)
         epoch(state)
         history.append(state.objective)

@@ -127,10 +127,16 @@ _BATCH_SIZE = 32
 FLOOR_TOL = 1e-12
 
 # Relative residual at which newton_step stops its conjugate-gradient solve,
-# and the most iterations it runs. Measured on joint-large (n = 200, r = 1,
-# kernel init, Intel Xeon, numpy 2.4, 1 BLAS thread): ...
-NEWTON_CG_TOL = 1e-3
-NEWTON_CG_MAX_ITER = 200
+# and the most iterations it runs. Measured on an Intel Xeon with numpy 2.4
+# and 1 BLAS thread, one run each, certified at a KKT residual of 1e-8: with
+# tolerances 1e-1, 1e-2, 1e-3 and 1e-4 the 35 joint desk requests took 7.7,
+# 7.3, 6.8 and 7.9 s in all and one joint-large learn 1.3, 1.1-1.3, 1.1-1.3
+# and 1.2-1.4 s, so the tolerance barely matters. A Hessian-vector product
+# costs 0.85 ms at n = 200, and joint-large runs 35-50 of them a round.
+# Only the hardest baseline steps reach the iteration cap (criterion-8
+# trial 6 at r = 0.2, 383 edges).
+_CG_TOL = 1e-3
+_CG_MAX_ITER = 200
 
 # Armijo constant and backtracking factor of newton_step's line search, and
 # the most trial points it evaluates before it gives the step up.
@@ -371,8 +377,9 @@ def max_residual(gap, free) -> float:
 
 
 def certificate(state):
-    """(KKT residual, duality gap) of the state, read off its phi, which the
-    caller has just refreshed; one pass over the pairs.
+    """(KKT residual, duality gap) of the state, read off its phi in one pass
+    over the pairs. On a freshly refreshed phi they certify the state; on a
+    maintained one they carry its rounding drift.
 
     The residual is that of :func:`covgraph.verify.kkt_report` over the
     state's pairs: the largest edge or vertex step 1/h - 1/r or
@@ -416,16 +423,16 @@ def certificate(state):
 def _pcg(product, b, inv_diag):
     """Solve H x = b by conjugate gradients preconditioned with the inverse
     diagonal ``inv_diag``; ``product(p)`` returns H p. Stops once the
-    residual falls to ``NEWTON_CG_TOL`` times |b|, after
-    ``NEWTON_CG_MAX_ITER`` iterations, or on a curvature that rounding made
+    residual falls to ``_CG_TOL`` times |b|, after
+    ``_CG_MAX_ITER`` iterations, or on a curvature that rounding made
     nonpositive. Returns (x, iterations)."""
     x = np.zeros_like(b)
     res = b.copy()
     z = inv_diag * res
     p = z.copy()
     rz = float(res @ z)
-    target = NEWTON_CG_TOL * float(np.linalg.norm(b))
-    for it in range(1, NEWTON_CG_MAX_ITER + 1):
+    target = _CG_TOL * float(np.linalg.norm(b))
+    for it in range(1, _CG_MAX_ITER + 1):
         hp = product(p)
         curvature = float(p @ hp)
         if not curvature > 0.0:
@@ -439,7 +446,7 @@ def _pcg(product, b, inv_diag):
         rz, rz_old = float(res @ z), rz
         p *= rz / rz_old
         p += z
-    return x, NEWTON_CG_MAX_ITER
+    return x, _CG_MAX_ITER
 
 
 def hessian_product(phi, idx_i, idx_j, vertices, d) -> np.ndarray:

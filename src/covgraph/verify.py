@@ -18,11 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import as_covariance, build_graph, laplacian
-from .solver import model_inverse, model_objective, pair_quadratic
-
-# Importances are clamped to the floor exactly, so "at the floor" is an
-# equality test with a tiny absolute guard.
-FLOOR_TOL = 1e-12
+from .solver import FLOOR_TOL, max_residual, model_inverse, model_objective, pair_quadratic
 
 
 def above_floor(graph) -> np.ndarray:
@@ -187,14 +183,14 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     edge_gap = 1.0 / pair_quadratic(S, idx_i, idx_j) - 1.0 / pair_quadratic(phi, idx_i, idx_j)
     off_diag = L[idx_i, idx_j]
     free_edge = off_diag < 0.0  # the pairs carrying weight
-    max_edge = _max_residual(edge_gap, free_edge)
+    max_edge = max_residual(edge_gap, free_edge)
     violations = int(np.count_nonzero(~free_edge & (edge_gap > tol)))
 
     max_vertex = 0.0
     if graph.q is not None:
         vertex_gap = 1.0 / np.diag(S) - 1.0 / np.diag(phi)
         free_vertex = above_floor(graph)
-        max_vertex = _max_residual(vertex_gap, free_vertex)
+        max_vertex = max_residual(vertex_gap, free_vertex)
         violations += int(np.count_nonzero(~free_vertex & (vertex_gap > tol)))
 
     # On L, not L + J/n: its off-diagonals -w + 1/n are positive for light edges.
@@ -208,12 +204,6 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
         m_matrix_ok=m_matrix_ok,
         passed=bool(max_edge <= tol and max_vertex <= tol and m_matrix_ok),
     )
-
-
-def _max_residual(gap, free) -> float:
-    """Largest |gap| over free coordinates and positive gap over bound ones."""
-    residual = np.where(free, np.abs(gap), np.maximum(gap, 0.0))
-    return float(np.max(residual, initial=0.0))
 
 
 def trim_violations(result, S, tol=1e-8):

@@ -162,6 +162,27 @@ def sweep_vertices_loop(state):
     return state.objective - before
 
 
+def duality_gap_oracle(n, pairs, w, q, q_min, S):
+    """The duality gap of a graph by its defining formula, one pair at a
+    time: tr(Theta S) - n + n log t - q_min sum_i (S_ii - phi_ii / t) for the
+    joint model, tr(L S) - n + n log t + 1 / t for the baseline (``q`` is
+    None), with t = max(1, max r_e / h_e, max phi_ii / S_ii)."""
+    S = np.asarray(S, dtype=float)
+    L = assemble_model_matrix(n, pairs, w)
+    T = L + (1.0 / n if q is None else np.diag(q))
+    phi = scipy.linalg.inv(T)
+    t = 1.0
+    for i, j in pairs:
+        h = S[i, i] + S[j, j] - 2.0 * S[i, j]
+        t = max(t, (phi[i, i] + phi[j, j] - 2.0 * phi[i, j]) / h)
+    if q is None:
+        return float(np.sum(L * S)) - n + n * np.log(t) + 1.0 / t
+    for i in range(n):
+        t = max(t, phi[i, i] / S[i, i])
+    floor_term = sum(S[i, i] - phi[i, i] / t for i in range(n))
+    return float(np.sum(T * S)) - n + n * np.log(t) - q_min * floor_term
+
+
 def explicit_hessian(phi, pairs, vertices):
     """Hessian of the objective at model inverse ``phi`` over the edge
     coordinates of ``pairs`` followed by the importance coordinates

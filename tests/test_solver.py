@@ -41,6 +41,7 @@ from covgraph.solver import (
     _SCREEN_MARGIN,
     _is_connected,
     _rank_one_update,
+    certificate,
     hessian_product,
     model_inverse,
     newton_step,
@@ -51,7 +52,9 @@ from covgraph.solver import (
 from _support import batched_path, kernel_spd_covariance
 from oracles import (
     direct_inverse_oracle,
+    duality_gap_oracle,
     explicit_hessian,
+    kkt_residuals_loop,
     is_connected_loop,
     sweep_edges_loop,
     sweep_vertices_loop,
@@ -515,6 +518,20 @@ class TestMonotoneDescent:
                 upd = update()
                 assert upd.delta * upd.cost - math.log1p(upd.delta * upd.effective) <= 0.0
                 assert evaluate_objective(state) <= before + 1e-9 * abs(before)
+
+
+class TestCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(random_states())
+    def test_matches_the_defining_formulas(self, state):
+        residual, gap = certificate(state)
+        q = None if state.q is None else state.q
+        edge, vertex, _ = kkt_residuals_loop(state.n, state.pairs, state.w, q, state.q_min, state.S, 1e-6)
+        assert residual == pytest.approx(max(edge, vertex), rel=1e-8, abs=1e-12)
+        expected = duality_gap_oracle(state.n, state.pairs, state.w, q, state.q_min, state.S)
+        scale = state.n + float(np.sum(np.abs(state.model_matrix() * state.S)))
+        assert gap >= 0.0
+        assert abs(gap - expected) <= 1e-9 * scale
 
 
 class TestNewtonStep:
