@@ -4,9 +4,9 @@ Subcommands: synth (variogram covariance generation), learn (certified
 optimum by default, or the paper's stop with --protocol paper), verify
 (optimality + bound reports, optional trimming), gft (spectrum export),
 sample (stationary signal draws), experiment (trial-averaged benchmark
-under the paper's stop), bounds (weight-bound curves). Exit status: 0 success, 1 validation error,
-2 numerical failure. Data goes to files or standard output, diagnostics to
-standard error.
+under the paper's stop), bounds (weight-bound curves). Exit status: 0
+success, 1 validation error, 2 numerical failure. Data goes to files or
+standard output, diagnostics to standard error.
 """
 from __future__ import annotations
 
@@ -83,11 +83,17 @@ def _cmd_learn(args):
     io.write_graph_json(args.out, result.graph)
     io.write_learn_meta_json(io.meta_path_for(args.out), result)
     if not result.converged:
-        if result.protocol == "optimum":
-            missed = f"the KKT residual reached {KKT_EXIT:g} (it is {result.kkt_residual:.3e})"
+        residual = f"{result.kkt_residual:.3e}"
+        if result.protocol == "paper":
+            why = f"an epoch changed the objective by less than --tol {args.tol:g}"
+        elif result.epochs_run >= args.max_epochs:
+            why = f"the KKT residual reached {KKT_EXIT:g} (it is {residual})"
         else:
-            missed = f"an epoch changed the objective by less than --tol {args.tol:g}"
-        print(f"warning: stopped at max_epochs={args.max_epochs} before {missed}", file=sys.stderr)
+            why = None
+        if why:
+            print(f"warning: stopped at max_epochs={args.max_epochs} before {why}", file=sys.stderr)
+        else:
+            print(f"warning: the KKT residual stalled at {residual}, above {KKT_EXIT:g}", file=sys.stderr)
     return 0
 
 

@@ -157,7 +157,8 @@ class LearnResult:
     Newton step; the last entry is the objective on the refreshed inverse.
     ``converged`` is True only when the protocol's stop criterion was met
     (KKT residual at most ``KKT_EXIT``, or an epoch change below
-    ``stop_tol``); a run stopped by ``max_epochs`` reports False.
+    ``stop_tol``); a run stopped by ``max_epochs``, or by a residual that
+    stalled above ``KKT_EXIT``, reports False.
     ``max_refresh_drift`` is the largest max-abs difference between the
     maintained inverse and its from-scratch recomputation over the run's
     refreshes; ``singularity_clips`` counts the baseline edge steps clipped

@@ -108,6 +108,19 @@ class TestLearn:
         assert err.startswith("warning: stopped at max_epochs=1 ") and missed in err
         assert json.loads((tmp_path / "graph.meta.json").read_text())["converged"] is False
 
+    def test_stalled_run_warns_and_exits_zero(self, tmp_path, capsys):
+        # At variances of 1e-6 the residual's rounding floor lies above the
+        # exit, so the run stops on a stalled residual before max_epochs.
+        cov, pts = tmp_path / "cov.csv", tmp_path / "pts.csv"
+        assert run("synth", "--n", "50", "--range", "1", "--sill", "1e-6", "--seed", "0",
+                   "--out-cov", str(cov), "--out-points", str(pts)) == 0
+        out = tmp_path / "graph.json"
+        assert run("learn", "--cov", str(cov), "--points", str(pts), "--out", str(out)) == 0
+        assert capsys.readouterr().err.startswith("warning: the KKT residual stalled at ")
+        meta = json.loads((tmp_path / "graph.meta.json").read_text())
+        assert meta["converged"] is False and meta["epochs"] < 1000
+        assert meta["kkt_residual"] > KKT_EXIT
+
     def test_baseline_learn(self, tmp_path, synth_files):
         cov, pts = synth_files
         out = tmp_path / "base.json"
