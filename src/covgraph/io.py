@@ -132,6 +132,9 @@ def write_learn_meta_json(dest, result) -> None:
         "protocol": result.protocol,
         "kkt_residual": float(result.kkt_residual),
         "duality_gap": float(result.duality_gap),
+        "newton_rounds": int(result.newton_rounds),
+        "cg_iterations": int(result.cg_iterations),
+        "failed_line_searches": int(result.failed_line_searches),
     }
     _write_json(dest, payload)
 

@@ -168,6 +168,11 @@ class LearnResult:
     inverse under both protocols (:func:`covgraph.solver.certificate`): the
     largest stationarity residual over the active pairs and importances, and
     an upper bound on how far ``objective`` lies above the optimum.
+
+    ``newton_rounds`` counts the Newton steps of an ``"optimum"`` run,
+    ``cg_iterations`` the conjugate-gradient iterations they took, and
+    ``failed_line_searches`` the steps whose line search accepted no trial
+    point (step length 0); all three are 0 under ``"paper"``.
     """
 
     graph: Graph
@@ -181,6 +186,9 @@ class LearnResult:
     protocol: str | None = None
     kkt_residual: float = math.nan
     duality_gap: float = math.nan
+    newton_rounds: int = 0
+    cg_iterations: int = 0
+    failed_line_searches: int = 0
 
 
 def epoch(state: SolverState) -> float:
@@ -329,6 +337,9 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
         protocol=config.protocol,
         kkt_residual=kkt_residual,
         duality_gap=duality_gap,
+        newton_rounds=state.newton_rounds,
+        cg_iterations=state.cg_iterations,
+        failed_line_searches=state.failed_line_searches,
     )
 
 

@@ -68,10 +68,18 @@ batched learn takes about half the time: a flush streams phi through
 memory once for 32 updates. Below ``_MIN_BATCH_N`` the corrections cost
 more than they save, and every update is applied at once, bit-identical
 to ``c * np.outer(v, v)``.
+
+:func:`newton_step` takes a projected Newton step over all coordinates at
+once. Its Hessian over the free coordinates is G o G with G = U^T phi U;
+when the free set is small, as on a sparse joint graph, that block is
+formed once per step by gathers of phi (:func:`hessian_block`), and
+otherwise each product with it is two n x n matrix products
+(:func:`hessian_product`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isnan, log, log1p
 
 import numpy as np
@@ -131,12 +139,28 @@ FLOOR_TOL = 1e-12
 # and 1 BLAS thread, one run each, certified at a KKT residual of 1e-8: with
 # tolerances 1e-1, 1e-2, 1e-3 and 1e-4 the 35 joint desk requests took 7.7,
 # 7.3, 6.8 and 7.9 s in all and one joint-large learn 1.3, 1.1-1.3, 1.1-1.3
-# and 1.2-1.4 s, so the tolerance barely matters. A Hessian-vector product
-# costs 0.85 ms at n = 200, and joint-large runs 35-50 of them a round.
+# and 1.2-1.4 s, so the tolerance barely matters. A product with the dense
+# free-block Hessian costs 0.1 ms at n = 200 and 562 free coordinates (a
+# matrix-free one 0.94 ms), and joint-large runs 35-50 of them a round.
 # Only the hardest baseline steps reach the iteration cap (criterion-8
 # trial 6 at r = 0.2, 383 edges).
 _CG_TOL = 1e-3
 _CG_MAX_ITER = 200
+
+# newton_step forms the dense Hessian of the free coordinates when there are
+# at most this many per vertex, and multiplies matrix-free above. Measured on
+# an Intel Xeon with numpy 2.4 and 1 BLAS thread (minimum of 3 runs, random
+# free sets): at k = 4n free coordinates the build takes 0.16, 0.68 and
+# 3.2 ms at n = 50, 100 and 200, a dense product 0.004, 0.026 and 0.23 ms
+# and a matrix-free one 0.034, 0.13 and 0.73 ms, so the dense path wins
+# from 5-7 CG iterations on; at 6n it needs 21-245 and from 8n it never
+# wins, as the k x k matrix outgrows the cache (5.1 MB at n = 200 and 4n,
+# against 0.3 MB for phi at n = 200). Over the 35 joint desk requests and
+# one joint-large learn, ratios of 2, 4, 6 and 8 took 3.9, 3.6, 3.8 and
+# 3.9 s and 1.1-1.3, 0.82-0.88, 0.74-0.87 and 0.70-0.81 s. Joint-large
+# holds 2.5-2.8n free coordinates; the desk requests 2.3-3.3n at r = 1,
+# 3.6-6.5n at r = 0.2 and 9-23n at r <= 0.02.
+_DENSE_HESSIAN_RATIO = 4
 
 # Armijo constant and backtracking factor of newton_step's line search, and
 # the most trial points it evaluates before it gives the step up.
@@ -203,6 +227,9 @@ class SolverState:
         self.epoch_counter = 0
         self.updates_since_refresh = 0
         self.singularity_clips = 0
+        self.newton_rounds = 0
+        self.cg_iterations = 0
+        self.failed_line_searches = 0
 
     @property
     def phi(self):
@@ -467,6 +494,33 @@ def hessian_product(phi, idx_i, idx_j, vertices, d) -> np.ndarray:
     return np.concatenate([pair_quadratic(M, idx_i, idx_j), M.diagonal()[vertices]])
 
 
+def hessian_block(phi, idx_i, idx_j, vertices) -> np.ndarray:
+    """The Hessian H = G o G of :func:`hessian_product` as a dense matrix
+    over the same coordinates, in the same order.
+
+    Row a of G = U^T phi U is R_a = u_a^T phi (row i minus row j of phi for
+    an edge, row i for a vertex) read at the coordinates: R_a[i] - R_a[j]
+    for an edge (i, j), R_a[i] for a vertex. Rows are built in blocks of
+    n / 2 coordinates, by gathers alone, so no temporary exceeds n x k / 2:
+    one joint-large learn (n = 200, 501-562 free coordinates) peaked at
+    50.2 MB with blocks of n rows and at 49.7 MB with n / 2, n / 4 or n / 8
+    (47.7-48.1 MB with matrix-free products alone).
+    """
+    n, k = phi.shape[0], len(idx_i) + len(vertices)
+    rows = max(1, n // 2)
+    plus = np.concatenate([idx_i, vertices])
+    H = np.empty((k, k))
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        R = phi[plus[start:stop]]
+        edge_rows = max(0, min(stop, len(idx_j)) - start)
+        R[:edge_rows] -= phi[idx_j[start : start + edge_rows]]
+        G = R[:, plus]
+        G[:, : len(idx_j)] -= R[:, idx_j]
+        np.multiply(G, G, out=H[start:stop])
+    return H
+
+
 def newton_step(state):
     """One projected Newton step on all coordinates; returns (step length,
     CG iterations), with step length 0.0 when no trial point passed the line
@@ -480,16 +534,23 @@ def newton_step(state):
     and phi_ii^2. A coordinate is free when it is off its bound (w > 0,
     q > q_min) or its gradient points inward; the others stay put. The free
     coordinates take the Newton step d of their block of H, solved by
-    conjugate gradients with the Jacobi preconditioner; each product with H
-    is :func:`hessian_product`, two n x n matrix products, and no matrix
-    over the free coordinates is formed. Trial points x(a) = P[x + a d],
-    with P the projection onto the bounds, start at a = 1 and shrink by
-    ``_BACKTRACK`` until ``model_objective`` falls below the state's
-    objective by ``_ARMIJO`` times -g^T (x(a) - x), and never rises; a
-    baseline trial point whose model matrix is singular fails the test. An
-    accepted point gets phi and the objective from scratch. A step can
-    leave tiny weights that belong at zero; the coordinate epoch after it
-    clears them.
+    conjugate gradients with the Jacobi preconditioner. With at most
+    ``_DENSE_HESSIAN_RATIO`` free coordinates per vertex, as on the sparse
+    graphs of the joint method, the block is formed once by
+    :func:`hessian_block` and each product is one mat-vec with it; above
+    that each product is :func:`hessian_product`, two n x n matrix
+    products. Trial points x(a) = P[x + a d], with P the projection onto
+    the bounds, start at a = 1 and shrink by ``_BACKTRACK`` until
+    ``model_objective`` falls below its value at x by ``_ARMIJO`` times
+    -g^T (x(a) - x), and never rises; a baseline trial point whose model
+    matrix is singular fails the test. The reference is evaluated at x, not
+    read off the state: the objective an epoch maintains from closed-form
+    changes can sit a few ulps below it, and then no trial point near the
+    optimum passes. An accepted point gets phi and the objective from
+    scratch; when no trial point passes, the state is left as it was. A
+    step can leave tiny weights that belong at zero; the coordinate epoch
+    after it clears them. The state counts the steps, their CG iterations
+    and the line searches that accepted no point.
 
     Reading phi flushes pending updates; phi may carry the rounding drift of
     the epochs since it was last inverted, which moves the gradient by far
@@ -511,16 +572,21 @@ def newton_step(state):
     edges = free[free < m]
     vertices = free[len(edges):] - m
     fi, fj = state.idx_i[edges], state.idx_j[edges]
+    state.newton_rounds += 1
     step = np.zeros_like(x)
     iterations = 0
     if free.size:
-        step[free], iterations = _pcg(
-            lambda d: hessian_product(phi, fi, fj, vertices, d), -grad[free], 1.0 / hdiag[free]
-        )
+        if free.size <= _DENSE_HESSIAN_RATIO * n:
+            product = hessian_block(phi, fi, fj, vertices).dot
+        else:
+            product = partial(hessian_product, phi, fi, fj, vertices)
+        step[free], iterations = _pcg(product, -grad[free], 1.0 / hdiag[free])
+        state.cg_iterations += iterations
+    reference = evaluate_objective(state)
     alpha = 1.0
     for _ in range(_MAX_TRIALS):
         trial = np.maximum(x + alpha * step, lower)
-        bound = state.objective + _ARMIJO * min(float(grad @ (trial - x)), 0.0)
+        bound = reference + _ARMIJO * min(float(grad @ (trial - x)), 0.0)
         w = trial[:m]
         q = trial[m:] if joint else None
         L = laplacian_from_pairs(n, state.idx_i, state.idx_j, w)
@@ -533,6 +599,7 @@ def newton_step(state):
             pass
         alpha *= _BACKTRACK
     else:
+        state.failed_line_searches += 1
         return 0.0, iterations
     state.w[:] = w
     if joint:

@@ -35,6 +35,18 @@ def assemble_model_matrix(n, pairs, w, diag_vector=None, rank_one_shift=False):
     return T
 
 
+def laplacian_add_at(n, idx_i, idx_j, w):
+    """Laplacian of distinct pairs by unbuffered ``np.add.at`` into zeros,
+    j-side degree terms first."""
+    w = np.asarray(w, dtype=float)
+    L = np.zeros((n, n))
+    np.add.at(L, (idx_j, idx_j), w)
+    np.add.at(L, (idx_i, idx_i), w)
+    np.add.at(L, (idx_i, idx_j), -w)
+    np.add.at(L, (idx_j, idx_i), -w)
+    return L
+
+
 def joint_objective_oracle(n, pairs, w, q, S):
     """-logdet(diag(q) + L(w)) + trace((diag(q) + L(w)) S)."""
     T = assemble_model_matrix(n, pairs, w, diag_vector=q)

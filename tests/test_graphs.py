@@ -14,7 +14,7 @@ from covgraph import (
     laplacian,
 )
 from covgraph.graphs import endpoint_arrays, laplacian_from_pairs
-from oracles import assemble_model_matrix
+from oracles import assemble_model_matrix, laplacian_add_at
 
 
 @st.composite
@@ -136,6 +136,19 @@ class TestLaplacian:
         L = laplacian_from_pairs(n, *endpoint_arrays(pairs), w)
         expected = assemble_model_matrix(n, pairs, w)
         assert L.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_from_pairs_bit_identical_to_add_at(self, data):
+        # Any order of distinct pairs, weights of either sign and many zeros.
+        n = data.draw(st.integers(1, 12))
+        pairs = data.draw(st.permutations(all_pairs(n)))
+        pairs = pairs[: data.draw(st.integers(0, len(pairs)))]
+        weight = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
+        w = data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+        idx_i, idx_j = (np.array([p[k] for p in pairs], dtype=int) for k in (0, 1))
+        L = laplacian_from_pairs(n, idx_i, idx_j, w)
+        assert L.tobytes() == laplacian_add_at(n, idx_i, idx_j, w).tobytes()
 
 
 class TestIncidenceVector:

@@ -178,7 +178,8 @@ class TestMetaSidecar:
         data = json.loads(path.read_text())
         assert set(data) == {
             "objective", "epochs", "converged", "wall_time_s", "max_refresh_drift", "singularity_clips",
-            "protocol", "kkt_residual", "duality_gap",
+            "protocol", "kkt_residual", "duality_gap", "newton_rounds", "cg_iterations",
+            "failed_line_searches",
         }
         assert data["converged"] is True
         assert data["protocol"] == "optimum"
@@ -187,6 +188,9 @@ class TestMetaSidecar:
         assert data["objective"] == result.objective
         assert data["max_refresh_drift"] == result.max_refresh_drift
         assert data["singularity_clips"] == result.singularity_clips == 0
+        assert data["newton_rounds"] == result.newton_rounds > 0
+        assert data["cg_iterations"] == result.cg_iterations >= result.newton_rounds
+        assert data["failed_line_searches"] == result.failed_line_searches
 
 
 class TestReportsAndTables:

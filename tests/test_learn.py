@@ -389,6 +389,7 @@ class TestPaperProtocol:
         assert result.epochs_run == epochs
         assert len(result.history) == epochs + 1
         assert result.converged and result.protocol == "paper"
+        assert (result.newton_rounds, result.cg_iterations, result.failed_line_searches) == (0, 0, 0)
 
     def test_run_experiment_forces_paper(self, monkeypatch):
         protocols = []
@@ -416,6 +417,9 @@ class TestCertifiedOptimum:
             result = learn_joint(S, kernel_config(sample))
             report = kkt_report(result, S)
             assert result.converged and result.kkt_residual <= KKT_EXIT, (trial, r)
+            # Every Newton step's line search accepts a point: its Armijo
+            # reference is the objective evaluated at the current weights.
+            assert result.newton_rounds > 0 and result.failed_line_searches == 0, (trial, r)
             assert report.passed, (trial, r, report)
             reported = max(report.max_edge_residual, report.max_vertex_residual)
             assert result.kkt_residual == pytest.approx(reported, rel=0, abs=1e-12)
