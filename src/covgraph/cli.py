@@ -86,7 +86,7 @@ def _cmd_learn(args):
         residual = f"{result.kkt_residual:.3e}"
         if result.protocol == "paper":
             why = f"an epoch changed the objective by less than --tol {args.tol:g}"
-        elif result.epochs_run >= args.max_epochs:
+        elif len(result.history) - 1 >= args.max_epochs:
             why = f"the KKT residual reached {KKT_EXIT:g} (it is {residual})"
         else:
             why = None

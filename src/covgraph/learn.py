@@ -12,19 +12,24 @@ proceeds and when it stops:
 
 - ``"optimum"`` (the default) certifies the minimizer. After
   ``WARM_EPOCHS`` epochs it repeats rounds of one projected Newton step
-  (:func:`covgraph.solver.newton_step`) and one epoch, which clears tiny
-  weights the step left off the support and brings back coordinates it
-  left at a bound. This is the structure of QUIC (Hsieh et al., JMLR 2014)
-  and of projected Newton (Bertsekas, SIAM J. Control Optim. 1982). The
-  run is certified once the largest KKT residual, the stationarity
-  residual of :func:`covgraph.verify.kkt_report`, is at most ``KKT_EXIT``
-  on a freshly refreshed inverse. Rounds go on until the residual reaches
-  ``KKT_SETTLE``, where the support no longer depends on the start, or
-  until ``STALL_ROUNDS`` rounds in a row leave its lowest value standing,
-  which is where rounding stops Newton's progress; a stalled run reports
-  whether it is certified. Each Newton step inverts the model matrix at
-  its new point, so the rounds decide on the maintained inverse, one
-  epoch old, and only the exit refreshes it.
+  (:func:`covgraph.solver.newton_step`), followed by one epoch only when
+  the line search shortened the step (or accepted no point). That epoch
+  clears tiny weights the step left off the support and brings back
+  coordinates it left at a bound. A step accepted at full length has found
+  the active set, where projected Newton converges quadratically, so the
+  next round follows it directly. This is the structure of QUIC (Hsieh et
+  al., JMLR 2014) and of projected Newton (Bertsekas, SIAM J. Control
+  Optim. 1982). The run is certified once the largest KKT residual, the
+  stationarity residual of :func:`covgraph.verify.kkt_report`, is at most
+  ``KKT_EXIT`` on a freshly refreshed inverse. Rounds go on until the
+  residual reaches ``KKT_SETTLE``, where the support no longer depends on
+  the start, or until ``STALL_ROUNDS`` rounds in a row neither set a new
+  lowest residual nor lower the lowest objective by more than
+  ``STALL_PROGRESS`` rounding units, which is where rounding stops
+  Newton's progress; a stalled run reports whether it is certified. Each
+  accepted Newton step inverts the model matrix at its new point, so a
+  round decides on that inverse or on the maintained one, one epoch old,
+  and only the exit refreshes it.
 - ``"paper"`` is the stop protocol of the paper's benchmark table, which
   :func:`covgraph.bench.run_experiment` always runs. The run stops once
   the objective improves by less than ``stop_tol`` over an epoch. The
@@ -33,8 +38,10 @@ proceeds and when it stops:
   ``REFRESH_EVERY`` epochs and once more at the end. The objective-change
   test does not measure stationarity: runs can stop far from the optimum.
 
-Under both, ``max_epochs`` caps the number of epochs, and rounding drift of
-the maintained inverse never reaches the reported result.
+Under both, ``max_epochs`` caps the steps of a run, that is its epochs
+under ``"paper"`` and its warm epochs plus Newton rounds under
+``"optimum"``, and rounding drift of the maintained inverse never reaches
+the reported result.
 """
 from __future__ import annotations
 
@@ -64,13 +71,12 @@ PROTOCOLS = ("optimum", "paper")
 REFRESH_EVERY = 50
 
 # Epochs of the "optimum" protocol before its first Newton round. Measured
-# on an Intel Xeon with numpy 2.4 and 1 BLAS thread, one run each, stopping
-# at a KKT residual of 1e-8: the 35 joint desk requests (n = 50, trials 0-6,
-# five ranges) took 5.0, 4.5, 4.0, 5.1, 5.4, 6.8, 10.2 and 10.6 s in all
-# for 1, 3, 5, 10, 15, 20, 30 and 40 warm epochs; one joint-large learn
-# (n = 200, r = 1) took 2.3-2.7 s with 1, 1.5 s with 3 and 0.9-1.4 s with
-# 5 to 40, in 7 to 4 Newton rounds. Stopping at KKT_SETTLE, 3, 5 and 10
-# warm epochs took 8.6, 7.5 and 7.7 s for the desk requests.
+# on an Intel Xeon with numpy 2.4 and 1 BLAS thread, with rounds that run
+# their epoch only after a shortened step, two runs each: the 35 joint desk
+# requests (n = 50, trials 0-6, five ranges, kernel start) took 2.8-2.9,
+# 2.8-3.0, 2.5-2.9 and 3.3-3.7 s in all for 2, 3, 5 and 8 warm epochs; one
+# joint-large learn (n = 200, r = 1) took 1.0-1.1, 0.8-1.0, 0.7-0.8 and
+# 0.8-1.0 s, in 19, 17, 10 and 14 Newton rounds.
 WARM_EPOCHS = 5
 
 # Largest KKT residual, on a freshly refreshed inverse, at which an
@@ -88,14 +94,28 @@ KKT_EXIT = 1e-8
 # r = 0.1) stalled at 5.8e-11.
 KKT_SETTLE = 1e-12
 
-# Rounds in a row without a new lowest KKT residual after which an
-# "optimum" run stops. The residual is absolute, so its rounding floor
-# grows as the variances shrink: at n = 50 and sills of 1e-6 and 1e-4 it
-# lies above KKT_EXIT, and those runs went on to max_epochs; with 3 they
-# stop unconverged after 16-35 epochs. With 3, all 100 criterion-8
-# problems, twelve at n = 100 and two at n = 200 stop converged, in at
-# most 52 epochs.
+# Rounds in a row without progress (a new lowest KKT residual, or a decrease
+# of the lowest objective by STALL_PROGRESS) after which an "optimum" run
+# stops. The residual is absolute, so its rounding floor grows as the
+# variances shrink: at n = 50 and sills of 1e-6 and 1e-4 it lies above
+# KKT_EXIT, and those runs went on to max_epochs; with 3 they stop after
+# 14-23 warm epochs and rounds (trial 0, r = 1, both methods). With 3, all
+# 100 criterion-8 problems, twenty at n = 100 (trials 0-1, five ranges,
+# both methods) and both methods at n = 200 (trial 0, r = 1) stop
+# converged, in at most 55 warm epochs and rounds.
 STALL_ROUNDS = 3
+
+# Decrease of the lowest objective so far, in units of eps * |objective|,
+# that also counts a round as progress for STALL_ROUNDS: a slow run lowers
+# the objective while its residual sets no new low, and a rounding floor
+# does not. On criterion-8 baseline trial 6 at r = 0.2 the residual hovers
+# at 2.0e-4 to 2.3e-4 for eight rounds while each lowers the objective by
+# 2.4e8 to 9.1e8 units, and by at least 7.8e6 until it falls below 1e-6;
+# without this test that run stops unconverged at 2.0e-4. At the sill 1e-6
+# and 1e-4 floors above, the objective moves by at most 3.1e3 units a
+# round, either way.
+STALL_PROGRESS = 1e6
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -114,8 +134,8 @@ class LearnConfig:
     ``protocol`` is ``"optimum"`` (certified stop, the default) or
     ``"paper"`` (the paper's objective-change stop); the module docstring
     describes both. ``stop_tol`` applies to ``"paper"`` alone. ``max_epochs``
-    caps the epochs of both: the warm-phase and round epochs of
-    ``"optimum"`` count alike.
+    caps the epochs of ``"paper"`` and the warm epochs plus Newton rounds
+    of ``"optimum"``, whether or not a round ran its epoch.
     """
 
     method: str = "joint"
@@ -150,11 +170,13 @@ class LearnConfig:
 class LearnResult:
     """Packaged outcome of a learning run.
 
-    ``history`` holds the objective at initialization and after each epoch,
-    so it has ``epochs_run + 1`` entries. Under ``"optimum"``,
-    ``epochs_run`` counts the warm-phase epochs plus one per Newton round,
-    and the entry of a round's epoch includes the decrease of the round's
-    Newton step; the last entry is the objective on the refreshed inverse.
+    ``epochs_run`` counts the coordinate epochs that ran. ``history`` holds
+    the objective at initialization and after each step that ``max_epochs``
+    caps: under ``"paper"`` each epoch, so it has ``epochs_run + 1``
+    entries; under ``"optimum"`` each warm epoch and each Newton round,
+    after the round's epoch if it ran one, so it has ``WARM_EPOCHS +
+    newton_rounds + 1`` entries when ``max_epochs`` allows the warm phase.
+    The last entry is the objective on the refreshed inverse.
     ``converged`` is True only when the protocol's stop criterion was met
     (KKT residual at most ``KKT_EXIT``, or an epoch change below
     ``stop_tol``); a run stopped by ``max_epochs``, or by a residual that
@@ -270,11 +292,14 @@ def _optimum_run(state: SolverState, config: LearnConfig):
         epoch(state)
         history.append(state.objective)
     drift = 0.0
-    best, stale = math.inf, 0
+    best, lowest, stale = math.inf, math.inf, 0
     while True:
-        capped = state.epoch_counter >= config.max_epochs
+        capped = len(history) - 1 >= config.max_epochs
         residual = certificate(state)[0]
-        best, stale = (residual, 0) if residual < best else (best, stale + 1)
+        progress = STALL_PROGRESS * _EPS * abs(state.objective)
+        moved = residual < best or state.objective < lowest - progress
+        best, lowest = min(best, residual), min(lowest, state.objective)
+        stale = 0 if moved else stale + 1
         stalled = stale >= STALL_ROUNDS
         if capped or stalled or residual <= KKT_SETTLE:
             # The exit is decided on a refreshed phi.
@@ -283,8 +308,11 @@ def _optimum_run(state: SolverState, config: LearnConfig):
             converged = certificate(state)[0] <= KKT_EXIT
             if converged or capped or stalled:
                 return history, converged, drift
-        newton_step(state)
-        epoch(state)
+        # A full step has found the active set (the local regime of
+        # projected Newton): its weights need no sweep, and its phi and
+        # objective are exact for the next certificate.
+        if newton_step(state)[0] < 1.0:
+            epoch(state)
         history.append(state.objective)
 
 

@@ -108,6 +108,18 @@ class TestLearn:
         assert err.startswith("warning: stopped at max_epochs=1 ") and missed in err
         assert json.loads((tmp_path / "graph.meta.json").read_text())["converged"] is False
 
+    def test_cap_reached_by_full_newton_steps_warns_max_epochs(self, tmp_path, capsys):
+        # Five warm epochs and two full-length Newton steps, which skip
+        # their epoch: 5 epochs run, but the cap of 7 counts the rounds too.
+        cov = tmp_path / "cov.csv"
+        assert run("synth", "--n", "20", "--range", "0.2", "--seed", "8", "--out-cov", str(cov)) == 0
+        out = tmp_path / "graph.json"
+        assert run("learn", "--cov", str(cov), "--max-epochs", "7", "--out", str(out)) == 0
+        meta = json.loads((tmp_path / "graph.meta.json").read_text())
+        assert (meta["epochs"], meta["newton_rounds"], meta["converged"]) == (5, 2, False)
+        err = capsys.readouterr().err
+        assert err.startswith("warning: stopped at max_epochs=7 before the KKT residual reached ")
+
     def test_stalled_run_warns_and_exits_zero(self, tmp_path, capsys):
         # At variances of 1e-6 the residual's rounding floor lies above the
         # exit, so the run stops on a stalled residual before max_epochs.

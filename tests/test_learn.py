@@ -31,8 +31,8 @@ from covgraph.bench import (
     variogram_covariance,
 )
 from covgraph.graphs import laplacian_from_pairs
-from covgraph.learn import KKT_EXIT, epoch, learn
-from covgraph.solver import refresh_phi
+from covgraph.learn import KKT_EXIT, WARM_EPOCHS, epoch, learn
+from covgraph.solver import newton_step, refresh_phi, sweep_edges
 from _support import batched_path, edge_weight_map, kernel_spd_covariance
 from oracles import minimize_baseline_objective, minimize_joint_objective, sweep_edges_loop
 
@@ -298,8 +298,12 @@ class TestRunRecord:
     def test_batched_learn_records_small_drift(self):
         sample = sample_locations(20, seed=8)
         S = variogram_covariance(sample, VariogramSpec(range_=0.2))
+        # Under "paper" the exit refresh meets phi maintained by rank-one
+        # updates; an "optimum" exit can follow a full Newton step, whose
+        # freshly inverted phi has no drift at all.
+        config = LearnConfig(protocol="paper", init="kernel", points=sample.points)
         with batched_path():
-            result = learn_joint(S, LearnConfig(init="kernel", points=sample.points))
+            result = learn_joint(S, config)
         assert 0.0 < result.max_refresh_drift <= 1e-9
 
 
@@ -423,6 +427,32 @@ class TestCertifiedOptimum:
             assert report.passed, (trial, r, report)
             reported = max(report.max_edge_residual, report.max_vertex_residual)
             assert result.kkt_residual == pytest.approx(reported, rel=0, abs=1e-12)
+
+    def test_rounds_sweep_only_after_a_shortened_step(self, monkeypatch):
+        events = []
+
+        def recording_newton(state):
+            step, iterations = newton_step(state)
+            events.append(step)
+            return step, iterations
+
+        def recording_sweep(state):
+            events.append("sweep")
+            return sweep_edges(state)
+
+        monkeypatch.setattr(covgraph.learn, "newton_step", recording_newton)
+        monkeypatch.setattr(covgraph.learn, "sweep_edges", recording_sweep)
+        sample, S = desk_problem(0, 1.0)
+        result = learn_joint(S, kernel_config(sample))
+        assert result.converged
+        assert events.count("sweep") == result.epochs_run
+        assert len(result.history) == WARM_EPOCHS + result.newton_rounds + 1
+        assert events[:WARM_EPOCHS] == ["sweep"] * WARM_EPOCHS
+        rounds = events[WARM_EPOCHS:]
+        steps = [(step, rounds[k + 1 : k + 2] == ["sweep"]) for k, step in enumerate(rounds) if step != "sweep"]
+        assert len(steps) == result.newton_rounds
+        assert all(swept == (step < 1.0) for step, swept in steps)
+        assert any(step == 1.0 for step, _ in steps) and any(step < 1.0 for step, _ in steps)
 
     @pytest.mark.parametrize("trial, r", [(4, 0.1), (6, 0.2), (6, 1.0)])
     def test_criterion_8_baselines_pass_kkt(self, trial, r):
