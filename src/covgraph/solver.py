@@ -31,27 +31,6 @@ every step it tests are those of visiting one edge at a time. A piece
 starts short after every edge that moves and grows geometrically while
 none does, so an edge that moves soon wastes little of the piece.
 
-Most runs need no test at all: a safe screen, in the manner of the gap
-safe screening rules of Ndiaye et al. (JMLR 2017), proves them still. An
-update along u (an incidence or unit vector, with quadratic form
-rho_u = u^T phi u before it) is phi' = phi - c (phi u)(phi u)^T with
-c = delta / (1 + delta rho_u), so an edge vector b gets the resistance
-r_b' = r_b - c (b^T phi u)^2. By Cauchy-Schwarz in the phi inner product,
-(b^T phi u)^2 <= r_b rho_u. So a step with delta >= 0 (then c >= 0) raises
-no resistance, and a step with delta < 0 raises each by a factor of at
-most 1 - delta rho_u / (1 + delta rho_u) = 1 / (1 + delta rho_u). The state
-keeps the product G of those factors since the start of the edge sweep,
-where every ratio r_e / h_e is read once; an edge at w = 0 with
-(r_e / h_e) * G <= 1 - ``_SCREEN_MARGIN`` still has r < h when the sweep
-reaches it, so its step is below zero and it stays at exactly 0. A NaN
-step makes G NaN, which no edge passes. The ratios cost one vectorized
-pass per sweep; in the late epochs of a sparse joint learn at n = 200 the
-screen skips every run. The same bound with b a unit vector covers phi_ii,
-so the vertex sweep screens importances at the floor q_min alike: one
-whose ratio phi_ii / S_ii times the growth of the vertex steps since the
-sweep began stays <= 1 - ``_SCREEN_MARGIN`` has a step below zero, which
-the floor clamps to exactly 0.
-
 From n = ``_MIN_BATCH_N`` on, updates are batched: an update does not
 touch phi but is kept pending as a row v_k, with its coefficient c_k, of a
 ``_BATCH_SIZE`` x n array P, so the inverse is ``phi - P^T diag(c) P``.
@@ -59,15 +38,14 @@ Reads go through small corrections: an effective resistance is
 ``r - sum_k c_k (v_k[i] - v_k[j])^2``, a row is ``phi[i] - (c * P[:, i]) @ P``.
 Once ``_BATCH_SIZE`` updates are pending, one matrix product
 ``phi -= (P^T c) @ P`` applies them all; reading ``state.phi``,
-:func:`refresh_phi` and the start of each sweep apply them first, so the
-screens read their ratios off phi itself, about three times faster than
-through the correction at n = 200. The update order, the clamps and
-the steps are those of the immediate path, but sums are rounded in
-another order, so results agree only within rounding. At n = 200 a
-batched learn takes about half the time: a flush streams phi through
-memory once for 32 updates. Below ``_MIN_BATCH_N`` the corrections cost
-more than they save, and every update is applied at once, bit-identical
-to ``c * np.outer(v, v)``.
+:func:`refresh_phi` and the start of each sweep apply them first, so every
+sweep starts its first batch at its first update. The update order, the
+clamps and the steps are those of the immediate path, but sums are rounded
+in another order, so results agree only within rounding. At n = 200 a
+batched joint learn takes about a third of the time: a flush streams phi
+through memory once for 32 updates. Below ``_MIN_BATCH_N`` the corrections
+cost more than they save, and every update is applied at once,
+bit-identical to ``c * np.outer(v, v)``.
 
 :func:`newton_step` takes a projected Newton step over all coordinates at
 once. Its Hessian over the free coordinates is G o G with G = U^T phi U;
@@ -80,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import isnan, log, log1p
+from math import log, log1p
 
 import numpy as np
 
@@ -112,12 +90,6 @@ _MIN_SCAN_RUN = 8
 # pieces against 68,955.
 _FIRST_PIECE = 128
 _PIECE_GROWTH = 2
-
-# Relative margin of the screens in sweep_edges and sweep_vertices: a
-# zero-weight edge or a floor importance is skipped only when its bounded
-# quadratic form stays this far below its cost, so rounding of phi, of the
-# ratios and of the growth factor cannot decide a skip.
-_SCREEN_MARGIN = 1e-9
 
 # Smallest n from which updates are batched (see the module docstring), and
 # the number of pending updates that one flush applies. Break-even, measured
@@ -213,15 +185,6 @@ class SolverState:
         self._pending = np.empty((_BATCH_SIZE, self.n)) if batched else None
         self._coef = np.empty(_BATCH_SIZE) if batched else None
         self._k = 0
-        # Bound on how far any resistance, or diagonal entry of phi, has
-        # grown since the edge sweep read its ratios (see the module
-        # docstring). A Python float: in the first epochs at n = 200 it
-        # overflows to inf, which only turns the screen off, and numpy
-        # scalars would warn. The vertex sweep keeps its own bound, over the
-        # vertex steps since it read its ratios, so that an overflow of this
-        # one in the edge sweep does not turn its screen off.
-        self._growth = 1.0
-        self._vertex_growth = 1.0
         self._phi = None
         self.objective = None
         self.epoch_counter = 0
@@ -695,8 +658,6 @@ def _apply_edge(state, e):
     if k:
         v -= cd @ pending
     _update_phi(state, v, delta / denom)
-    if not delta > 0.0:
-        state._growth /= float(denom)
     state.w[e] = 0.0 if clamped else we + delta
     state.objective += delta * h - log1p(delta * r)
     state.updates_since_refresh += 1
@@ -728,10 +689,6 @@ def _apply_vertex(state, i):
         v = v - cd @ pending
     denom = 1.0 + delta * u
     _update_phi(state, v, delta / denom)
-    if not delta > 0.0:
-        factor = float(denom)
-        state._growth /= factor
-        state._vertex_growth /= factor
     state.q[i] = state.q_min if clamped else state.q[i] + delta
     state.objective += delta * p - log1p(delta * u)
     state.updates_since_refresh += 1
@@ -813,53 +770,19 @@ def sweep_edges(state) -> float:
     """One pass over all active edges in sorted order; returns the objective change.
 
     Edges with nonzero weight at the start of the sweep are updated one at a
-    time. The runs of zero-weight edges between them are screened: the
-    sweep applies the pending updates, reads every ratio rho_e = r_e / h_e
-    once off phi and resets the growth bound G (module docstring). By
-    Cauchy-Schwarz no resistance exceeds rho_e * h_e * G while the sweep
-    runs, and G does not grow inside
-    a run, because a zero-weight edge can only move up. A run whose largest
-    ratio has rho * G <= 1 - ``_SCREEN_MARGIN`` is skipped; otherwise
-    :func:`_sweep_zero_run` visits the span from the first to the last edge
-    that fails that test (NaN fails it) and updates only the edges that
-    move. The span's ends are found by a Python loop from each end: on
-    dense graphs most runs hold one to three edges, where one numpy call
-    per run would cost more than the edges it spares. An edge's weight
-    changes only when the sweep reaches it, so the runs found at the start
-    hold until then, and a screened edge is one the per-edge step leaves at
-    exactly 0. The result is that of calling :func:`_apply_edge` on every
-    edge: bit for bit on the immediate path, within rounding on the batched
-    one.
+    time, and each run of zero-weight edges between them goes to
+    :func:`_sweep_zero_run`. An edge's weight changes only when the sweep
+    reaches it, so the runs found at the start hold until then. The result
+    is that of calling :func:`_apply_edge` on every edge: bit for bit on the
+    immediate path, within rounding on the batched one.
     """
     before = state.objective
     m = state.m
     _flush(state)
-    rho = pair_quadratic(state._phi, state.idx_i, state.idx_j)
-    rho /= state.edge_costs
-    state._growth = 1.0
-
-    # Run k ends at the k-th nonzero edge, the last one at m.
-    stops = np.append(np.flatnonzero(state.w != 0), m)
-    starts = np.append(0, stops[:-1] + 1)
-    runs = starts < stops
-    run_max = np.zeros(len(stops))
-    run_max[runs] = np.maximum.reduceat(np.where(state.w == 0, rho, -np.inf), starts[runs])
-    limit = 1.0 - _SCREEN_MARGIN
     start = 0
-    for stop, top in zip(stops.tolist(), run_max.tolist()):
-        if start < stop and not top * state._growth <= limit:
-            # Trim the screened edges off both ends; the edge that holds the
-            # maximum (or a NaN) is not screened, so both loops stop in the run.
-            growth = state._growth
-            first, end = start, stop
-            while rho[first] * growth <= limit:
-                first += 1
-            while rho[end - 1] * growth <= limit:
-                end -= 1
-            _sweep_zero_run(state, first, end)
-            if isnan(state._growth):
-                # A NaN step made phi NaN, and every later step NaN.
-                _sweep_zero_run(state, end, stop)
+    for stop in np.flatnonzero(state.w != 0).tolist() + [m]:
+        if start < stop:
+            _sweep_zero_run(state, start, stop)
         if stop < m:
             _apply_edge(state, stop)
         start = stop + 1
@@ -867,25 +790,9 @@ def sweep_edges(state) -> float:
 
 
 def sweep_vertices(state) -> float:
-    """One pass over all vertices in index order; returns the objective change.
-
-    A vertex at the floor, q_i == q_min, stays there exactly when its step
-    ``1/S_ii - 1/phi_ii`` is not positive, so the sweep screens it as the
-    edge sweep screens a zero-weight edge: it reads every ratio
-    phi_ii / S_ii once from the flushed inverse, resets the growth bound of
-    the vertex steps taken since (its own, so that an overflow of the edge
-    sweep's does not turn this screen off) and skips a floor vertex whose
-    ratio times that bound is <= 1 - ``_SCREEN_MARGIN``; a NaN step makes
-    the bound NaN, and every later vertex is visited. A skipped vertex is
-    one whose step is exactly 0, so the result is that of visiting every
-    vertex.
-    """
+    """One pass over all vertices in index order; returns the objective change."""
     before = state.objective
     _flush(state)
-    rho = np.where(state.q == state.q_min, state._phi.diagonal() / state._sdiag, np.inf)
-    limit = 1.0 - _SCREEN_MARGIN
-    state._vertex_growth = 1.0
-    for i, ratio in enumerate(rho.tolist()):
-        if not ratio * state._vertex_growth <= limit:
-            _apply_vertex(state, i)
+    for i in range(state.n):
+        _apply_vertex(state, i)
     return state.objective - before

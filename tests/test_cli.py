@@ -219,13 +219,36 @@ class TestVerify:
         cio.write_covariance_csv(other, kernel_spd_covariance(6, seed=9))
         assert run("verify", "--graph", str(graph_path), "--cov", str(other)) == 1
 
-    def test_baseline_graph_rejected(self, tmp_path):
+    @pytest.fixture()
+    def baseline(self, tmp_path):
         S = kernel_spd_covariance(4, seed=10)
         cov = tmp_path / "cov.csv"
         cio.write_covariance_csv(cov, S)
         out = tmp_path / "base.json"
         assert run("learn", "--cov", str(cov), "--method", "baseline", "--out", str(out)) == 0
-        assert run("verify", "--graph", str(out), "--cov", str(cov)) == 1
+        return cov, out
+
+    def test_baseline_graph_verifies(self, tmp_path, baseline, capsys):
+        cov, graph_path = baseline
+        kkt_path = tmp_path / "kkt.json"
+        assert run("verify", "--graph", str(graph_path), "--cov", str(cov),
+                   "--out-kkt", str(kkt_path)) == 0
+        assert json.loads(kkt_path.read_text())["passed"] is True
+        out = capsys.readouterr().out
+        assert out.startswith("kkt pass (max edge residual ")
+        assert "bounds" not in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--out-bounds", "bounds.json"],
+        ["--bounds-csv", "bounds.csv"],
+        ["--trim", "--out-graph", "trimmed.json"],
+    ])
+    def test_bound_flags_reject_baseline_graph(self, tmp_path, baseline, capsys, flags):
+        cov, graph_path = baseline
+        flags = [str(tmp_path / f) if f.endswith((".json", ".csv")) else f for f in flags]
+        assert run("verify", "--graph", str(graph_path), "--cov", str(cov), *flags) == 1
+        assert "vertex importances" in capsys.readouterr().err
+        assert not any((tmp_path / name).exists() for name in ("bounds.json", "bounds.csv", "trimmed.json"))
 
 
 class TestRoundTrip:

@@ -9,7 +9,6 @@ one).
 """
 import copy
 import math
-from contextlib import nullcontext
 from functools import partial
 from unittest import mock
 
@@ -40,7 +39,6 @@ from covgraph.solver import (
     _MIN_SCAN_RUN,
     _PIECE_GROWTH,
     _MIN_BATCH_N,
-    _SCREEN_MARGIN,
     _is_connected,
     _rank_one_update,
     _pcg,
@@ -390,6 +388,19 @@ def assert_sweeps_match_loop(state, sweeps=3):
         assert state.singularity_clips == reference.singularity_clips
 
 
+def near_converged_state(range_=0.1):
+    """Joint state of a desk-like problem (n = 30, immediate path) after 40
+    epochs: the support still changes. At r = 0.1 most edges are zero; at
+    r = 1 two thirds of the importances sit at the floor."""
+    sample = sample_locations(30, seed=1)
+    S = variogram_covariance(sample, VariogramSpec(range_=range_))
+    pairs = all_pairs(30)
+    state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+    for _ in range(40):
+        epoch(state)
+    return state
+
+
 class TestEdgeSweepMatchesLoop:
     @settings(max_examples=150, deadline=None)
     @given(zero_run_states())
@@ -406,6 +417,12 @@ class TestEdgeSweepMatchesLoop:
         S = kernel_spd_covariance(4, seed=2)
         assert_sweeps_match_loop(init_state(S, [], [], q0=1.0, q_min=1e-4))
         assert_sweeps_match_loop(init_state(S.entries[:1, :1], [], []))
+
+    @pytest.mark.parametrize("range_", [0.1, 1.0])
+    def test_near_converged_state(self, range_):
+        state = near_converged_state(range_)
+        assert state._pending is None
+        assert_sweeps_match_loop(state)
 
     def test_nan_step_in_a_long_run_is_applied(self):
         # A NaN step is not "<= -0.0": the loop applies it, and so must the scan.
@@ -494,19 +511,50 @@ def random_states(draw, modes=("joint", "baseline"), max_n=10):
     return init_state(S, pairs, w, q0=q0, q_min=q_min)
 
 
+def assert_vertex_sweeps_match_loop(state, sweeps=3):
+    """Each of ``sweeps`` consecutive vertex sweeps leaves the state bit for
+    bit as the per-vertex loop does."""
+    reference = copy.deepcopy(state)
+    for _ in range(sweeps):
+        change = sweep_vertices(state)
+        expected = sweep_vertices_loop(reference)
+        assert np.float64(change).tobytes() == np.float64(expected).tobytes()
+        assert state.phi.tobytes() == reference.phi.tobytes()
+        assert state.q.tobytes() == reference.q.tobytes()
+        assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
+        assert state.updates_since_refresh == reference.updates_since_refresh
+
+
 class TestVertexSweepMatchesLoop:
     @settings(max_examples=150, deadline=None)
     @given(random_states(modes=("joint",)))
     def test_matches_loop(self, state):
-        reference = copy.deepcopy(state)
-        for _ in range(3):
-            change = sweep_vertices(state)
-            expected = sweep_vertices_loop(reference)
-            assert np.float64(change).tobytes() == np.float64(expected).tobytes()
-            assert state.phi.tobytes() == reference.phi.tobytes()
-            assert state.q.tobytes() == reference.q.tobytes()
-            assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
-            assert state.updates_since_refresh == reference.updates_since_refresh
+        assert_vertex_sweeps_match_loop(state)
+
+    def test_near_converged_state(self):
+        state = near_converged_state(range_=1.0)
+        assert np.count_nonzero(state.q == state.q_min) == 20
+        assert_vertex_sweeps_match_loop(state)
+
+    def test_floor_vertices_at_ratio_one_stay(self):
+        # With S = I, no edges and q = q_min = 1, phi = I exactly: every
+        # importance sits at the floor with a step of exactly 0. Vertex 3
+        # starts above the floor and moves down to it.
+        q0 = np.ones(5)
+        q0[3] = 2.0
+        state = init_state(np.eye(5), [], [], q0=q0, q_min=1.0)
+        assert_vertex_sweeps_match_loop(state, sweeps=1)
+        assert state.q.tobytes() == np.ones(5).tobytes()
+
+    def test_nan_step_is_applied(self):
+        # A NaN step is not "<= floor_gap": the loop applies it, and so must
+        # the sweep, and every later step is NaN.
+        state = near_converged_state(range_=1.0)
+        floor = np.flatnonzero(state.q == state.q_min)
+        state.phi[floor[0], floor[0]] = np.nan
+        assert_vertex_sweeps_match_loop(state, sweeps=1)
+        assert np.isnan(state.objective)
+        assert np.isnan(state.q[floor[1:]]).all()
 
 
 class TestMonotoneDescent:
@@ -687,14 +735,12 @@ class TestBatchedUpdates:
     def test_long_zero_run_is_scanned_in_pieces(self, monkeypatch):
         # S = I but for a star of correlated pairs (0, 1) ... (0, 7), which
         # start at a small weight, and the correlated last pair (78, 79). The
-        # sweep flushes, reads all 3,160 ratios in one pass, and the seven
-        # star edges step up: seven updates pending (no flush below eight),
-        # the growth bound still 1. Phi is exact on vertices 8 to 79, so
-        # every pair among them has r = h, ratio exactly 1 and a step of
-        # exactly 0. Only the screen's margin keeps them from being skipped,
-        # so the scan tests them in pieces
-        # that start at _FIRST_PIECE, grow by _PIECE_GROWTH up to the cap
-        # 80^2 // 7 = 914 and end with the rest of the run.
+        # sweep flushes and the seven star edges step up: seven updates
+        # pending (no flush below eight). The rest of the pairs, from (0, 8)
+        # on, form one zero run in which only the last edge moves, so the
+        # scan tests it in pieces that start at _FIRST_PIECE, grow by
+        # _PIECE_GROWTH up to the cap 80^2 // 7 = 914 and end with the rest
+        # of the run.
         n = 80
         S = np.eye(n)
         S[0, 1:8] = S[1:8, 0] = 0.3
@@ -704,9 +750,6 @@ class TestBatchedUpdates:
         w0[:7] = 0.01
         with batched_path(size=8):
             state = init_state(S, pairs, w0, q0=1.0, q_min=1e-4)
-        first = pairs.index((8, 9))
-        rho = pair_quadratic(state.phi, state.idx_i, state.idx_j) / state.edge_costs
-        assert np.all(rho[first:-1] == 1.0)
         calls = []
 
         def recording(M, idx_i, idx_j):
@@ -715,165 +758,18 @@ class TestBatchedUpdates:
 
         monkeypatch.setattr(covgraph.solver, "pair_quadratic", recording)
         sweep_edges(state)
-        assert calls[0] == (len(pairs), 0)
-        lengths = [length for length, _ in calls[1:]]
-        assert {k for _, k in calls[1:]} == {7}
+        lengths = [length for length, _ in calls]
+        assert {k for _, k in calls} == {7}
+        # The rule of _sweep_zero_run: a piece leaves no tail shorter than
+        # _MIN_SCAN_RUN, and the cap cuts it.
         cap = n * n // 7
         expected = []
-        piece, left = _FIRST_PIECE, len(pairs) - first
-        while left >= piece + _MIN_SCAN_RUN:
-            expected.append(min(piece, cap))
+        piece, left = _FIRST_PIECE, len(pairs) - 7
+        while left >= _MIN_SCAN_RUN:
+            expected.append(min(piece if left >= piece + _MIN_SCAN_RUN else left, cap))
             left -= expected[-1]
             piece *= _PIECE_GROWTH
-        expected.append(left)
         assert lengths == expected
         assert _FIRST_PIECE * _PIECE_GROWTH in lengths and cap in lengths
         assert max(lengths) <= cap
         assert np.flatnonzero(state.w).tolist() == [0, 1, 2, 3, 4, 5, 6, len(pairs) - 1]
-
-
-class TestScreen:
-    """The zero-run screen of ``sweep_edges``: the growth bound G it keeps
-    holds, and it skips only edges the per-edge loop leaves at 0."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(random_states(), zero_run_states()))
-    def test_resistances_stay_within_the_growth_bound(self, state):
-        # The bound covers every update since the edge sweep read its
-        # ratios, the vertex sweep's included, and every edge, moved or not,
-        # and every diagonal entry phi_ii (the quadratic form of a unit vector).
-        # The vertex sweep's own bound covers the diagonal over its steps.
-        h = state.edge_costs
-        rho = pair_quadratic(state.phi, state.idx_i, state.idx_j) / h
-        diagonal = state.phi.diagonal().copy()
-        sweep_edges(state)
-        if state.q is not None:
-            edge_swept = state.phi.diagonal().copy()
-            sweep_vertices(state)
-            assert state._vertex_growth >= 1.0
-            assert np.all(state.phi.diagonal() <= edge_swept * state._vertex_growth * (1.0 + 1e-12))
-        assert state._growth >= 1.0
-        r = pair_quadratic(state.phi, state.idx_i, state.idx_j)
-        assert np.all(r <= rho * h * state._growth * (1.0 + 1e-12))
-        assert np.all(state.phi.diagonal() <= diagonal * state._growth * (1.0 + 1e-12))
-
-    @staticmethod
-    def near_converged_state(batched, range_=0.1):
-        """Joint state of a desk-like problem (n = 30) after 40 epochs: the
-        support still changes. At r = 0.1 about a fifth of the zero runs can
-        be skipped; at r = 1 two thirds of the importances sit at the floor."""
-        sample = sample_locations(30, seed=1)
-        S = variogram_covariance(sample, VariogramSpec(range_=range_))
-        pairs = all_pairs(30)
-        with batched_path() if batched else nullcontext():
-            state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
-        for _ in range(40):
-            epoch(state)
-        return state
-
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_screened_sweep_is_bit_identical_and_skips(self, monkeypatch, batched):
-        state = self.near_converged_state(batched)
-        assert (state._pending is not None) == batched
-        unscreened = copy.deepcopy(state)
-        loop = copy.deepcopy(state)
-        rho = pair_quadratic(copy.deepcopy(state).phi, state.idx_i, state.idx_j) / state.edge_costs
-        limit = 1.0 - _SCREEN_MARGIN
-        zero = state.w == 0
-        runs = np.count_nonzero(zero & ~np.concatenate(([False], zero[:-1])))
-        spans = []
-        scan = covgraph.solver._sweep_zero_run
-
-        def counting(s, start, stop):
-            spans.append((start, stop, s._growth))
-            scan(s, start, stop)
-
-        monkeypatch.setattr(covgraph.solver, "_sweep_zero_run", counting)
-        change = sweep_edges(state)
-        assert 0 < len(spans) < runs
-        for start, stop, growth in spans:
-            # Each span begins and ends with an edge the screen cannot skip.
-            assert not rho[start] * growth <= limit
-            assert not rho[stop - 1] * growth <= limit
-
-        # Against the sweep with the screen off (every run handed whole to
-        # the scan) on both paths, and the per-edge loop on the immediate one.
-        monkeypatch.setattr(covgraph.solver, "_SCREEN_MARGIN", np.inf)
-        references = [(unscreened, sweep_edges(unscreened))]
-        if not batched:
-            references.append((loop, sweep_edges_loop(loop)))
-        for reference, expected in references:
-            assert np.float64(change).tobytes() == np.float64(expected).tobytes()
-            assert state.phi.tobytes() == reference.phi.tobytes()
-            assert state.w.tobytes() == reference.w.tobytes()
-            assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
-            assert state.updates_since_refresh == reference.updates_since_refresh
-
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_screened_vertex_sweep_is_bit_identical_and_skips(self, monkeypatch, batched):
-        state = self.near_converged_state(batched, range_=1.0)
-        sweep_edges(state)
-        unscreened = copy.deepcopy(state)
-        loop = copy.deepcopy(state)
-        floor = state.q == state.q_min
-        assert np.count_nonzero(floor) == 20
-        visited = []
-        apply_vertex = covgraph.solver._apply_vertex
-
-        def recording(s, i):
-            visited.append(i)
-            return apply_vertex(s, i)
-
-        monkeypatch.setattr(covgraph.solver, "_apply_vertex", recording)
-        change = sweep_vertices(state)
-        skipped = sorted(set(range(state.n)) - set(visited))
-        assert skipped and floor[skipped].all()
-
-        # Against the sweep with the screen off on both paths, and the
-        # per-vertex loop on the immediate one.
-        monkeypatch.setattr(covgraph.solver, "_SCREEN_MARGIN", np.inf)
-        visited.clear()
-        references = [(unscreened, sweep_vertices(unscreened))]
-        assert visited == list(range(state.n))
-        if not batched:
-            references.append((loop, sweep_vertices_loop(loop)))
-        for reference, expected in references:
-            assert np.float64(change).tobytes() == np.float64(expected).tobytes()
-            assert state.phi.tobytes() == reference.phi.tobytes()
-            assert state.q.tobytes() == reference.q.tobytes()
-            assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
-            assert state.updates_since_refresh == reference.updates_since_refresh
-
-    def test_vertex_screen_keeps_floor_vertices_at_ratio_one(self, monkeypatch):
-        # With S = I, no edges and q = q_min = 1, phi = I exactly: every
-        # importance sits at the floor with phi_ii / S_ii exactly 1 and a
-        # step of exactly 0. Only the margin keeps the screen from skipping
-        # them. Vertex 3 starts above the floor at ratio 1/2 and moves.
-        q0 = np.ones(5)
-        q0[3] = 2.0
-        state = init_state(np.eye(5), [], [], q0=q0, q_min=1.0)
-        reference = copy.deepcopy(state)
-        visited = []
-        apply_vertex = covgraph.solver._apply_vertex
-
-        def recording(s, i):
-            visited.append(i)
-            return apply_vertex(s, i)
-
-        monkeypatch.setattr(covgraph.solver, "_apply_vertex", recording)
-        change = sweep_vertices(state)
-        assert visited == [0, 1, 2, 3, 4]
-        assert np.float64(change).tobytes() == np.float64(sweep_vertices_loop(reference)).tobytes()
-        assert state.q.tobytes() == reference.q.tobytes() == np.ones(5).tobytes()
-
-    def test_vertex_screen_visits_every_vertex_after_a_nan_step(self):
-        # A NaN step makes the vertex growth bound NaN, which no vertex passes.
-        state = self.near_converged_state(False, range_=1.0)
-        floor = np.flatnonzero(state.q == state.q_min)
-        state.phi[floor[0], floor[0]] = np.nan
-        reference = copy.deepcopy(state)
-        change = sweep_vertices(state)
-        expected = sweep_vertices_loop(reference)
-        assert np.isnan(change) and np.isnan(expected)
-        assert state.q.tobytes() == reference.q.tobytes()
-        assert np.isnan(state.q[floor[1:]]).all()
