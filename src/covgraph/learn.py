@@ -10,8 +10,16 @@ order, then (joint mode) every vertex importance in index order, each by
 exact coordinate minimization. ``LearnConfig.protocol`` picks how a run
 proceeds and when it stops:
 
-- ``"optimum"`` (the default) certifies the minimizer. After
-  ``WARM_EPOCHS`` epochs it repeats rounds of one projected Newton step
+- ``"optimum"`` (the default) certifies the minimizer. It opens with one
+  clamp step (:func:`covgraph.solver.clamp_step`): every weight whose
+  exact coordinate step would clamp it is set to zero at once, and the new
+  point is kept when its objective is lower. At a kernel start the dense
+  graph keeps every resistance small, so nearly all weights clamp.
+  Without the clamp the first epoch zeroes them one Sherman-Morrison
+  update at a time, about 0.3 s of a 0.8 s joint-large learn (n = 200);
+  the clamp takes one inverse, about 5 ms, and leaves the epoch long zero
+  runs to scan. After the clamp and ``WARM_EPOCHS`` epochs it repeats
+  rounds of one projected Newton step
   (:func:`covgraph.solver.newton_step`), followed by one epoch only when
   the line search shortened the step (or accepted no point). That epoch
   clears tiny weights the step left off the support and brings back
@@ -23,13 +31,13 @@ proceeds and when it stops:
   stationarity residual of :func:`covgraph.verify.kkt_report`, is at most
   ``KKT_EXIT`` on a freshly refreshed inverse. Rounds go on until the
   residual reaches ``KKT_SETTLE``, where the support no longer depends on
-  the start, or until ``STALL_ROUNDS`` rounds in a row neither set a new
-  lowest residual nor lower the lowest objective by more than
-  ``STALL_PROGRESS`` rounding units, which is where rounding stops
-  Newton's progress; a stalled run reports whether it is certified. Each
-  accepted Newton step inverts the model matrix at its new point, so a
-  round decides on that inverse or on the maintained one, one epoch old,
-  and only the exit refreshes it.
+  the start, or until ``STALL_ROUNDS`` rounds in a row neither cut the
+  lowest residual by the factor ``STALL_DROP`` nor lower the lowest
+  objective by more than ``STALL_PROGRESS`` rounding units, which is
+  where rounding stops Newton's progress; a stalled run reports whether
+  it is certified. Each accepted Newton step inverts the model matrix at
+  its new point, so a round decides on that inverse or on the maintained
+  one, one epoch old, and only the exit refreshes it.
 - ``"paper"`` is the stop protocol of the paper's benchmark table, which
   :func:`covgraph.bench.run_experiment` always runs. The run stops once
   the objective improves by less than ``stop_tol`` over an epoch. The
@@ -41,7 +49,8 @@ proceeds and when it stops:
 Under both, ``max_epochs`` caps the steps of a run, that is its epochs
 under ``"paper"`` and its warm epochs plus Newton rounds under
 ``"optimum"``, and rounding drift of the maintained inverse never reaches
-the reported result.
+the reported result. The opening clamp is not a step that ``max_epochs``
+caps.
 """
 from __future__ import annotations
 
@@ -55,6 +64,7 @@ from .graphs import Graph, GraphValidationError, all_pairs, as_covariance, build
 from .solver import (
     SolverState,
     certificate,
+    clamp_step,
     init_state,
     newton_step,
     refresh_phi,
@@ -76,7 +86,11 @@ REFRESH_EVERY = 50
 # requests (n = 50, trials 0-6, five ranges, kernel start) took 2.8-2.9,
 # 2.8-3.0, 2.5-2.9 and 3.3-3.7 s in all for 2, 3, 5 and 8 warm epochs; one
 # joint-large learn (n = 200, r = 1) took 1.0-1.1, 0.8-1.0, 0.7-0.8 and
-# 0.8-1.0 s, in 19, 17, 10 and 14 Newton rounds.
+# 0.8-1.0 s, in 19, 17, 10 and 14 Newton rounds. After the opening clamp,
+# three runs each in one process, 1, 2, 3 and 5 warm epochs took the desk
+# requests 2.2-3.0, 2.0-2.3, 2.0-2.4 and 1.8-2.5 s and joint-large
+# 1.2-1.3, 0.66-0.77, 0.48-0.62 and 0.37-0.49 s, in 15, 16, 13 and 10
+# Newton rounds.
 WARM_EPOCHS = 5
 
 # Largest KKT residual, on a freshly refreshed inverse, at which an
@@ -94,15 +108,15 @@ KKT_EXIT = 1e-8
 # r = 0.1) stalled at 5.8e-11.
 KKT_SETTLE = 1e-12
 
-# Rounds in a row without progress (a new lowest KKT residual, or a decrease
-# of the lowest objective by STALL_PROGRESS) after which an "optimum" run
-# stops. The residual is absolute, so its rounding floor grows as the
-# variances shrink: at n = 50 and sills of 1e-6 and 1e-4 it lies above
-# KKT_EXIT, and those runs went on to max_epochs; with 3 they stop after
-# 14-23 warm epochs and rounds (trial 0, r = 1, both methods). With 3, all
-# 100 criterion-8 problems, twenty at n = 100 (trials 0-1, five ranges,
-# both methods) and both methods at n = 200 (trial 0, r = 1) stop
-# converged, in at most 55 warm epochs and rounds.
+# Rounds in a row without progress (a lowest KKT residual cut by STALL_DROP,
+# or a decrease of the lowest objective by STALL_PROGRESS) after which an
+# "optimum" run stops. The residual is absolute, so its rounding floor grows
+# as the variances shrink: at n = 50 and sills of 1e-6 and 1e-4 it lies
+# above or near KKT_EXIT, and those runs went on to max_epochs; with 3 they
+# stop after 14-18 warm epochs and rounds (trial 0, r = 1, both methods,
+# kernel start). With 3, all 100 criterion-8 problems, twenty at n = 100
+# (trials 0-1, five ranges, both methods) and both methods at n = 200
+# (trial 0, r = 1) stop converged, in at most 55 warm epochs and rounds.
 STALL_ROUNDS = 3
 
 # Decrease of the lowest objective so far, in units of eps * |objective|,
@@ -115,6 +129,18 @@ STALL_ROUNDS = 3
 # and 1e-4 floors above, the objective moves by at most 3.1e3 units a
 # round, either way.
 STALL_PROGRESS = 1e6
+
+# Factor by which the KKT residual must fall below its lowest value so far
+# for a round to count as progress for STALL_ROUNDS. Near a rounding floor
+# the residual wanders and sets small new lows: at sill 1e-4 (trial 0,
+# r = 1, joint, kernel start) it falls below 1e-8 in round 7 and then moves
+# between 1.5e-9 and 7.5e-9, and with any new low counted the run took 18
+# rounds; with 0.5 it takes 10 and ends certified at 3.0e-9. A Newton round
+# away from the floor cuts the residual by far more than half: the 35 joint
+# desk problems and joint-large (kernel start) take the same rounds either
+# way, 2 of the 35 baseline ones (r = 1) stop certified 2-3 rounds sooner,
+# and the 100 criterion-8 problems all still stop certified.
+STALL_DROP = 0.5
 _EPS = float(np.finfo(float).eps)
 
 
@@ -176,7 +202,9 @@ class LearnResult:
     entries; under ``"optimum"`` each warm epoch and each Newton round,
     after the round's epoch if it ran one, so it has ``WARM_EPOCHS +
     newton_rounds + 1`` entries when ``max_epochs`` allows the warm phase.
-    The last entry is the objective on the refreshed inverse.
+    The last entry is the objective on the refreshed inverse. The opening
+    clamp of an ``"optimum"`` run is not a capped step and has no entry:
+    ``history[0]`` is the objective at the start weights, before it.
     ``converged`` is True only when the protocol's stop criterion was met
     (KKT residual at most ``KKT_EXIT``, or an epoch change below
     ``stop_tol``); a run stopped by ``max_epochs``, or by a residual that
@@ -288,6 +316,7 @@ def _paper_run(state: SolverState, config: LearnConfig):
 
 def _optimum_run(state: SolverState, config: LearnConfig):
     history = [state.objective]
+    clamp_step(state)
     for _ in range(min(WARM_EPOCHS, config.max_epochs)):
         epoch(state)
         history.append(state.objective)
@@ -297,7 +326,7 @@ def _optimum_run(state: SolverState, config: LearnConfig):
         capped = len(history) - 1 >= config.max_epochs
         residual = certificate(state)[0]
         progress = STALL_PROGRESS * _EPS * abs(state.objective)
-        moved = residual < best or state.objective < lowest - progress
+        moved = residual < STALL_DROP * best or state.objective < lowest - progress
         best, lowest = min(best, residual), min(lowest, state.objective)
         stale = 0 if moved else stale + 1
         stalled = stale >= STALL_ROUNDS

@@ -32,7 +32,7 @@ from covgraph.bench import (
 )
 from covgraph.graphs import laplacian_from_pairs
 from covgraph.learn import KKT_EXIT, WARM_EPOCHS, epoch, learn
-from covgraph.solver import newton_step, refresh_phi, sweep_edges
+from covgraph.solver import clamp_step, evaluate_objective, newton_step, refresh_phi, sweep_edges
 from _support import batched_path, edge_weight_map, kernel_spd_covariance
 from oracles import minimize_baseline_objective, minimize_joint_objective, sweep_edges_loop
 
@@ -462,6 +462,16 @@ class TestCertifiedOptimum:
         assert result.converged and result.kkt_residual <= KKT_EXIT
         assert kkt_report(result, S).passed
 
+    def test_rounding_level_lows_do_not_extend_a_run(self):
+        # At sill 1e-4 the residual falls below KKT_EXIT and then wanders
+        # between 1.5e-9 and 7.5e-9 at its rounding floor. Counting every
+        # new low as progress kept this run going for 18 rounds.
+        sample = sample_locations(50, seed=0)
+        S = variogram_covariance(sample, VariogramSpec(sill=1e-4, range_=1.0))
+        result = learn_joint(S, kernel_config(sample))
+        assert result.converged and result.kkt_residual <= KKT_EXIT
+        assert result.newton_rounds <= 12
+
     @pytest.mark.parametrize("trial", [0, 6])
     def test_uniform_and_kernel_starts_keep_the_same_support(self, trial):
         # The optimum is unique, so its support does not depend on the start.
@@ -472,6 +482,50 @@ class TestCertifiedOptimum:
             assert result.converged
             supports.append({(i, j) for i, j, w in result.graph.edges if w > EDGE_PRESENCE_TOL})
         assert supports[0] == supports[1]
+
+
+def recorded_clamps(monkeypatch):
+    """Install a recorder of the learning loop's clamp steps: each call
+    appends the state's objective before the step and the step's result."""
+    calls = []
+
+    def recording_clamp(state):
+        before = state.objective
+        calls.append((before, clamp_step(state)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(covgraph.learn, "clamp_step", recording_clamp)
+    return calls
+
+
+class TestOpeningClamp:
+    @pytest.mark.parametrize("method", ["joint", "baseline"])
+    def test_paper_never_clamps(self, monkeypatch, method):
+        calls = recorded_clamps(monkeypatch)
+        sample, S = desk_problem(0, 1.0, n=20)
+        learn(S, kernel_config(sample, method=method, protocol="paper"))
+        assert calls == []
+
+    @pytest.mark.parametrize("method", ["joint", "baseline"])
+    def test_optimum_clamps_once_per_learn(self, monkeypatch, method):
+        calls = recorded_clamps(monkeypatch)
+        sample, S = desk_problem(0, 1.0, n=20)
+        result = learn(S, kernel_config(sample, method=method))
+        assert len(calls) == 1
+        # history[0] is the objective at the start weights, before the clamp.
+        assert result.history[0] == calls[0][0]
+        assert len(result.history) == WARM_EPOCHS + result.newton_rounds + 1
+
+    def test_kernel_start_clamp_is_accepted_and_not_a_capped_step(self, monkeypatch):
+        calls = recorded_clamps(monkeypatch)
+        sample, S = desk_problem(0, 1.0)
+        pairs = all_pairs(50)
+        start = init_state(S, pairs, covgraph.learn.kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+        result = learn(S, kernel_config(sample, max_epochs=1))
+        assert calls[0][0] == start.objective and calls[0][1] > 0
+        # max_epochs = 1 allows one warm epoch after the clamp.
+        assert result.epochs_run == 1 and len(result.history) == 2
+        assert result.history[0] == evaluate_objective(start)
 
 
 def certificate_cases():

@@ -32,6 +32,7 @@ from covgraph import (
     refresh_phi,
     vertex_update,
 )
+from covgraph.graphs import laplacian_from_pairs
 from covgraph.learn import epoch, kernel_weights
 from covgraph.bench import VariogramSpec, sample_locations, variogram_covariance
 from covgraph.solver import (
@@ -43,6 +44,7 @@ from covgraph.solver import (
     _rank_one_update,
     _pcg,
     certificate,
+    clamp_step,
     hessian_block,
     hessian_product,
     model_inverse,
@@ -124,6 +126,27 @@ class TestInitState:
     def test_negative_initial_weight_rejected(self):
         with pytest.raises(GraphValidationError, match="nonnegative"):
             init_state(S2, [(0, 1)], [-1.0], q0=1.0, q_min=1e-4)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (2, 1), (0, 2)], r"active pair \(2, 1\) must satisfy"),
+        ([(0, 1), (1, 1)], r"active pair \(1, 1\) must satisfy"),
+        ([(0, 3), (0, 1)], r"active pair \(0, 3\) must satisfy"),
+        ([(-1, 2)], r"active pair \(-1, 2\) must satisfy"),
+        ([(0, 1), (1, 2), (0, 1), (2, 0)], r"duplicate active pair \(0, 1\)"),
+        ([(0, 1), (2, 0), (0, 1)], r"active pair \(2, 0\) must satisfy"),
+        ([(0, 2), (1, 2), (3, 0), (1, 2)], r"active pair \(3, 0\) must satisfy"),
+    ])
+    def test_first_offending_pair_is_named(self, pairs, message):
+        S = kernel_spd_covariance(3, seed=1)
+        with pytest.raises(GraphValidationError, match=message):
+            init_state(S, pairs, 1.0, q0=1.0, q_min=1e-4)
+
+    def test_pairs_are_int_tuples_matching_the_endpoint_arrays(self):
+        pairs = [(np.int64(0), np.int64(2)), (1, 2)]
+        state = init_state(kernel_spd_covariance(3, seed=1), pairs, 1.0, q0=1.0, q_min=1e-4)
+        assert state.pairs == [(0, 2), (1, 2)]
+        assert all(type(i) is int and type(j) is int for i, j in state.pairs)
+        assert state.idx_i.tolist() == [0, 1] and state.idx_j.tolist() == [2, 2]
 
 
 class TestIsConnected:
@@ -667,6 +690,94 @@ class TestNewtonStep:
         epoch(state)
         refresh_phi(state)
         assert state.objective <= before + 1e-9 * abs(before)
+
+
+def predicted_clamps(state):
+    """Edges whose exact coordinate step from the state's weights clamps to
+    zero, one edge at a time off a direct inverse of the model matrix."""
+    phi = direct_inverse_oracle(state.model_matrix())
+    clamps = np.zeros(state.m, dtype=bool)
+    for e, (i, j) in enumerate(state.pairs):
+        r = phi[i, i] + phi[j, j] - 2.0 * phi[i, j]
+        h = state.S[i, i] + state.S[j, j] - 2.0 * state.S[i, j]
+        clamps[e] = state.w[e] > 0.0 and 1.0 / h - 1.0 / r <= -state.w[e]
+    return clamps
+
+
+def state_bytes(state):
+    q = b"" if state.q is None else state.q.tobytes()
+    return state.w.tobytes(), q, state.phi.tobytes(), np.float64(state.objective).tobytes()
+
+
+class TestClampStep:
+    def test_kernel_start_clamps_the_predicted_edges(self):
+        sample = sample_locations(30, seed=1)
+        S = variogram_covariance(sample, VariogramSpec(range_=1.0))
+        pairs = all_pairs(30)
+        state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+        before, w, q = state.objective, state.w.copy(), state.q.copy()
+        clamps = predicted_clamps(state)
+        assert clamps.sum() > state.m // 2
+        assert clamp_step(state) == clamps.sum()
+        assert state.objective < before
+        assert np.all(state.w[clamps] == 0.0)
+        assert state.w[~clamps].tobytes() == w[~clamps].tobytes()
+        assert state.q.tobytes() == q.tobytes()
+        assert state.objective == evaluate_objective(state)
+        expected = direct_inverse_oracle(state.model_matrix())
+        assert np.max(np.abs(state.phi - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert state.updates_since_refresh == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_states())
+    def test_accepts_only_a_lower_objective(self, state):
+        before = copy.deepcopy(state)
+        clamps = predicted_clamps(state)
+        count = clamp_step(state)
+        if count:
+            assert count == clamps.sum()
+            assert state.objective < before.objective
+            assert np.all(state.w[clamps] == 0.0)
+            assert state.w[~clamps].tobytes() == before.w[~clamps].tobytes()
+            assert state.phi.tobytes() == model_inverse(state.laplacian(), state.q).tobytes()
+        else:
+            assert state_bytes(state) == state_bytes(before)
+
+    def test_rising_objective_leaves_the_state_as_it_was(self):
+        # Two tightly correlated blocks of four vertices, correlated 0.8
+        # with each other. Each of the 16 cross edges is redundant beside
+        # the other 15, so each step alone clamps it, but the blocks need
+        # some of them.
+        block = np.arange(8) // 4
+        S = np.where(block[:, None] == block[None, :], 0.99, 0.8)
+        np.fill_diagonal(S, 1.0)
+        w = [1.0 if block[i] == block[j] else 0.5 for i, j in all_pairs(8)]
+        state = init_state(S, all_pairs(8), w, q0=1.0, q_min=1e-4)
+        clamps = predicted_clamps(state)
+        assert clamps.sum() == 16
+        trial = state.w.copy()
+        trial[clamps] = 0.0
+        L = laplacian_from_pairs(8, state.idx_i, state.idx_j, trial)
+        assert covgraph.solver.model_objective(L, state.q, state.S) > state.objective
+        before = state_bytes(state)
+        assert clamp_step(state) == 0
+        assert state_bytes(state) == before
+
+    def test_disconnecting_baseline_clamp_leaves_the_state_as_it_was(self):
+        # The four cross edges of two weakly coupled pairs all clamp, and
+        # without them L + J/n is singular.
+        S = 10.0 * np.array([[1, 0.99, 0, 0], [0.99, 1, 0, 0], [0, 0, 1, 0.99], [0, 0, 0.99, 1]])
+        state = init_state(S, all_pairs(4), np.ones(6))
+        assert predicted_clamps(state).tolist() == [False, True, True, True, True, False]
+        before = state_bytes(state)
+        assert clamp_step(state) == 0
+        assert state_bytes(state) == before
+
+    def test_nothing_to_clamp(self):
+        state = joint_state(S2)
+        before = state_bytes(state)
+        assert clamp_step(state) == 0
+        assert state_bytes(state) == before
 
 
 @st.composite

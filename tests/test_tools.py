@@ -1,6 +1,8 @@
 """Tests of the paired-benchmark summary in ``tools/bench_pairs.py``, on
-fixed numbers worked out by hand."""
+fixed numbers worked out by hand, and of its in-process alternation on tiny
+problems."""
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -71,3 +73,43 @@ def test_bound_and_claim_follow_direction(better, parent, change, within, claim)
     row = bench_pairs.compare(parent, change, better, 0.24)
     assert row["within_bound"] is within
     assert row["claim_rule_met"] is claim
+
+
+TINY = ((8, 0, 1.0), (8, 1, 0.1))
+
+
+def test_in_process_alternates_two_imports_of_the_tree():
+    packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_test")
+                for side in bench_pairs.SIDES}
+    assert packages["parent"].learn_joint is not packages["change"].learn_joint
+    assert packages["parent"].solver.__name__ == "covgraph_parent_test.solver"
+
+    measured = bench_pairs.in_process(packages, {"tiny": TINY}, rounds=3)
+    assert measured["unconverged"] == {"parent": 0, "change": 0}
+    times = measured["rounds"]
+    parent, change = times["parent"]["tiny"], times["change"]["tiny"]
+    assert len(parent) == len(change) == 3 and min(parent + change) > 0
+    row = measured["summary"]["tiny"]
+    q1, median, q3 = bench_pairs.quartiles(change)
+    assert row["change"] == {"median": median, "q1": q1, "q3": q3, "min": min(change)}
+    assert row["ratio"]["median"] == bench_pairs.quartiles([c / p for p, c in zip(parent, change)])[1]
+    assert row["change_wins"] == sum(c < p for p, c in zip(parent, change))
+    assert row["rounds"] == 3
+
+
+def test_in_process_run_keeps_the_other_keys_of_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "DESK", TINY)
+    monkeypatch.setattr(bench_pairs, "LARGE", TINY[:1])
+    # main sets these when unset; the patch restores them afterwards.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"summary": {"joint-large": 1}}))
+    code = bench_pairs.main(["--in-process", "--parent", "worktree", "--change", "worktree",
+                             "--pairs", "2", "--out", str(out)])
+    assert code == 0
+    record = json.loads(out.read_text())
+    assert record["summary"] == {"joint-large": 1}
+    assert set(record["in_process"]["summary"]) == {"desk", "large"}
+    assert len(record["in_process"]["rounds"]["change"]["large"]) == 2
+    assert "OPENBLAS_NUM_THREADS=1" in record["in_process"]["environment"]

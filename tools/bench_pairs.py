@@ -19,15 +19,34 @@ change wins (ties count for neither side), the relative change of the
 median, whether it stays within the metric's bound, and whether the
 claim rule holds: the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile range.
+
+    python3 tools/bench_pairs.py --in-process --parent HEAD~1 --change HEAD --pairs 10 --out BENCH_7.json
+
+``--in-process`` measures in one process instead, which the machine's
+drift between processes does not reach. Both trees are imported side by
+side, under the package names ``covgraph_parent`` and ``covgraph_change``.
+Each of ``--pairs`` rounds times, per side, the 35 joint desk learns
+(n = 50, trials 0-6, five ranges, kernel start, default protocol) and one
+joint-large learn (n = 200, trial 0, r = 1) on the same inputs; the side
+that goes first alternates from round to round. BLAS runs one thread
+unless ``OPENBLAS_NUM_THREADS`` says otherwise. The times go under the key
+``in_process`` of ``--out``, and the file's other keys are kept, so one
+file holds both sets. The summary gives, per problem set, each side's
+median, quartiles and minimum, the rounds the change wins and the
+quartiles of the per-round ratio change / parent.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,6 +132,73 @@ def run_once(checkout, workload, seed, seconds):
     return proc.returncode, environment, result
 
 
+DESK = tuple((50, trial, r) for trial in range(7) for r in (0.01, 0.02, 0.1, 0.2, 1.0))
+LARGE = ((200, 0, 1.0),)
+
+
+def load_package(checkout, name):
+    """Import ``src/covgraph`` of ``checkout`` as the package ``name``."""
+    source = Path(checkout) / "src" / "covgraph"
+    spec = importlib.util.spec_from_file_location(
+        name, source / "__init__.py", submodule_search_locations=[str(source)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def problem_inputs(package, problems):
+    """(covariance entries, locations) of each (n, trial, range) problem."""
+    inputs = []
+    for n, trial, r in problems:
+        sample = package.sample_locations(n, trial)
+        S = package.variogram_covariance(sample, package.VariogramSpec(range_=r))
+        inputs.append((S.entries, sample.points))
+    return inputs
+
+
+def timed_learns(package, inputs):
+    """(seconds, unconverged runs) of one default joint learn per input."""
+    unconverged = 0
+    start = time.perf_counter()
+    for S, points in inputs:
+        result = package.learn_joint(S, package.LearnConfig(init="kernel", points=points))
+        unconverged += not result.converged
+    return time.perf_counter() - start, unconverged
+
+
+def in_process(packages, problem_sets, rounds):
+    """Alternate the sides' learns over ``rounds`` rounds in this process.
+
+    ``packages`` maps each side of ``SIDES`` to its imported package and
+    ``problem_sets`` a set name to its (n, trial, range) problems. Round k
+    runs every set on both sides, the parent first in even rounds. Returns
+    the per-round times, the unconverged counts and the summary."""
+    inputs = {name: problem_inputs(packages["change"], problems)
+              for name, problems in problem_sets.items()}
+    times = {side: {name: [] for name in problem_sets} for side in SIDES}
+    unconverged = {side: 0 for side in SIDES}
+    for k in range(rounds):
+        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+            for name in problem_sets:
+                seconds, failed = timed_learns(packages[side], inputs[name])
+                times[side][name].append(seconds)
+                unconverged[side] += failed
+    summary = {}
+    for name in problem_sets:
+        parent, change = times["parent"][name], times["change"][name]
+        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        r1, rm, r3 = quartiles([c / p for p, c in zip(parent, change)])
+        summary[name] = {
+            "parent": {"median": pm, "q1": p1, "q3": p3, "min": min(parent)},
+            "change": {"median": cm, "q1": c1, "q3": c3, "min": min(change)},
+            "ratio": {"median": rm, "q1": r1, "q3": r3},
+            "change_wins": sum(1 for p, c in zip(parent, change) if c < p),
+            "rounds": rounds,
+        }
+    return {"rounds": times, "unconverged": unconverged, "summary": summary}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", default="HEAD", help="parent revision (default HEAD)")
@@ -125,7 +211,11 @@ def main(argv=None):
                         help="comma-separated workloads (default: those of BENCHMARK.json)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--what", default="", help="one line saying what is compared")
+    parser.add_argument("--in-process", action="store_true",
+                        help="alternate desk and joint-large learns of both trees in this process")
     args = parser.parse_args(argv)
+    if args.in_process:
+        return main_in_process(args)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = benchmark["end_to_end"]
@@ -145,13 +235,7 @@ def main(argv=None):
     }
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        checkouts = {}
-        for side in SIDES:
-            if revs[side] == "worktree":
-                checkouts[side] = ROOT
-            else:
-                checkouts[side] = tmp / side
-                unpack(revs[side], checkouts[side])
+        checkouts = checkout_trees(revs, tmp)
         for pair in range(args.pairs):
             seed = args.seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -170,6 +254,55 @@ def main(argv=None):
                     print(f"pair {pair} {workload} {side}: exit {code}, p50 {p50}", file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    return 0
+
+
+def checkout_trees(revs, tmp):
+    """Each side's source tree: this checkout for ``worktree``, else the
+    revision unpacked under ``tmp``."""
+    checkouts = {}
+    for side in SIDES:
+        if revs[side] == "worktree":
+            checkouts[side] = ROOT
+        else:
+            checkouts[side] = tmp / side
+            unpack(revs[side], checkouts[side])
+    return checkouts
+
+
+def main_in_process(args):
+    """``--in-process``: write the alternating in-process set under the key
+    ``in_process`` of ``--out``."""
+    out = Path(args.out)
+    record = json.loads(out.read_text()) if out.exists() else {}
+    # One BLAS thread, as perfbench/run.py sets, unless the caller set it;
+    # it must be set before the packages import numpy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    try:
+        checkouts = checkout_trees({"parent": args.parent, "change": args.change}, tmp)
+        packages = {side: load_package(checkouts[side], f"covgraph_{side}") for side in SIDES}
+        measured = in_process(packages, {"desk": DESK, "large": LARGE}, args.pairs)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    record["in_process"] = {
+        "what": args.what,
+        "method": (f"{args.pairs} rounds in one process; parent {args.parent} and change "
+                   f"{args.change} imported as covgraph_parent and covgraph_change; per round "
+                   "and side the total learn time of the 35 joint desk specs (n=50, trials 0-6 "
+                   "x ranges 0.01, 0.02, 0.1, 0.2, 1, kernel start, default protocol) and of one "
+                   "joint-large learn (n=200, trial 0, r=1), on the same inputs; even rounds run "
+                   "the parent first; quartiles by linear interpolation; seconds"),
+        "environment": (f"python {sys.version.split()[0]}, numpy {version('numpy')}, "
+                        f"{os.cpu_count()} CPUs, OPENBLAS_NUM_THREADS="
+                        f"{os.environ['OPENBLAS_NUM_THREADS']}"),
+        **measured,
+    }
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    for name, row in measured["summary"].items():
+        print(f"{name}: parent {row['parent']['median']:.4g} s, change {row['change']['median']:.4g} s, "
+              f"change wins {row['change_wins']} of {row['rounds']}", file=sys.stderr)
     return 0
 
 
