@@ -18,8 +18,8 @@ import numpy as np
 
 from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs
 from .learn import LearnConfig, kernel_weights, learn, pairwise_distances
-from .solver import SingularModelError
-from .verify import above_floor, baseline_variogram_edge_bound, variogram_edge_bound
+from .solver import SingularModelError, above_floor
+from .verify import baseline_variogram_edge_bound, variogram_edge_bound
 
 # A weight is an "edge" only above this threshold: exact clamps land on 0.0,
 # but refresh and trimming paths may leave numerical dust.
@@ -105,7 +105,7 @@ def compute_metrics(result, method=None, r=None) -> MetricsRow:
     """Learned-graph quality metrics for one result of n >= 2 vertices.
 
     ``u_q`` is the fraction of importances at the floor and ``q_bar`` the
-    mean of the others, split by :func:`covgraph.verify.above_floor`;
+    mean of the others, split by :func:`covgraph.solver.above_floor`;
     ``epsilon_w`` is the fraction of vertex pairs carrying no weight.
     """
     graph = result.graph
@@ -119,7 +119,7 @@ def compute_metrics(result, method=None, r=None) -> MetricsRow:
     u_q = None
     q_bar = None
     if graph.q is not None:
-        free = above_floor(graph)
+        free = above_floor(graph.q, graph.q_min)
         u_q = float(np.mean(~free))
         above = graph.q[free]
         if above.size:

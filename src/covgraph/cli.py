@@ -49,6 +49,16 @@ def _cmd_synth(args):
     return 0
 
 
+def _read_points(path, n):
+    """Locations from ``path``, one per vertex of ``n``; None without a path."""
+    if not path:
+        return None
+    points = io.read_points_csv(path)
+    if points.shape[0] != n:
+        raise CliError(f"{path}: {points.shape[0]} locations for a {n}-vertex covariance")
+    return points
+
+
 def _learn_config(args, points):
     if args.init == "auto":
         init = "kernel" if points is not None else "uniform"
@@ -76,10 +86,7 @@ def _learn_config(args, points):
 
 def _cmd_learn(args):
     S = io.read_covariance_csv(args.cov)
-    points = io.read_points_csv(args.points) if args.points else None
-    if points is not None and points.shape[0] != S.n:
-        raise CliError(f"{args.points}: {points.shape[0]} locations for a {S.n}-vertex covariance")
-    result = learn(S, _learn_config(args, points))
+    result = learn(S, _learn_config(args, _read_points(args.points, S.n)))
     io.write_graph_json(args.out, result.graph)
     io.write_learn_meta_json(io.meta_path_for(args.out), result)
     if not result.converged:
@@ -104,7 +111,7 @@ def _cmd_verify(args):
         raise CliError(f"graph has {graph.n} vertices but covariance is {S.n} x {S.n}")
     if graph.q is None and (args.out_bounds or args.bounds_csv or args.trim):
         raise CliError("--out-bounds, --bounds-csv and --trim need a graph learned with vertex importances")
-    points = io.read_points_csv(args.points) if args.points else None
+    points = _read_points(args.points, S.n)
 
     kkt = kkt_report(graph, S, tol=args.tol)
     if args.out_kkt:

@@ -14,12 +14,12 @@ proceeds and when it stops:
   clamp step (:func:`covgraph.solver.clamp_step`): every weight whose
   exact coordinate step would clamp it is set to zero at once, and the new
   point is kept when its objective is lower. At a kernel start the dense
-  graph keeps every resistance small, so nearly all weights clamp.
-  Without the clamp the first epoch zeroes them one Sherman-Morrison
-  update at a time, about 0.3 s of a 0.8 s joint-large learn (n = 200);
-  the clamp takes one inverse, about 5 ms, and leaves the epoch long zero
-  runs to scan. After the clamp and ``WARM_EPOCHS`` epochs it repeats
-  rounds of one projected Newton step
+  graph keeps every resistance small, so nearly all weights clamp (all but
+  one of 19,900 at joint-large, n = 200). Without the clamp the first
+  epoch zeroes them one Sherman-Morrison update at a time, about 0.3 s of
+  a 0.8 s joint-large learn; the clamp takes one inverse, about 5 ms, and
+  leaves the epoch long zero runs to scan. After the clamp and
+  ``WARM_EPOCHS`` epochs it repeats rounds of one projected Newton step
   (:func:`covgraph.solver.newton_step`), followed by one epoch only when
   the line search shortened the step (or accepted no point). That epoch
   clears tiny weights the step left off the support and brings back
@@ -27,8 +27,8 @@ proceeds and when it stops:
   the active set, where projected Newton converges quadratically, so the
   next round follows it directly. This is the structure of QUIC (Hsieh et
   al., JMLR 2014) and of projected Newton (Bertsekas, SIAM J. Control
-  Optim. 1982). The run is certified once the largest KKT residual, the
-  stationarity residual of :func:`covgraph.verify.kkt_report`, is at most
+  Optim. 1982). The run is certified once the largest KKT residual, that
+  of :func:`covgraph.solver.coordinate_steps`, is at most
   ``KKT_EXIT`` on a freshly refreshed inverse. Rounds go on until the
   residual reaches ``KKT_SETTLE``, where the support no longer depends on
   the start, or until ``STALL_ROUNDS`` rounds in a row neither cut the
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphValidationError, all_pairs, as_covariance, build_graph
+from .graphs import Graph, GraphValidationError, all_pairs, as_covariance, build_graph, endpoint_arrays
 from .solver import (
     SolverState,
     certificate,
@@ -261,15 +261,17 @@ def pairwise_distances(points) -> np.ndarray:
 def kernel_weights(points, pairs) -> np.ndarray:
     """Gaussian-kernel starting weights exp(-d^2 / (2 sigma^2)) over ``pairs``,
     with sigma one third of the mean pairwise distance."""
-    points = np.asarray(points, dtype=float)
+    idx_i, idx_j = endpoint_arrays(pairs)
+    if not idx_i.size:
+        return np.zeros(0)
     dist = pairwise_distances(points)
-    n = points.shape[0]
-    iu = np.triu_indices(n, k=1)
-    mean_distance = float(np.mean(dist[iu]))
+    mean_distance = float(np.mean(dist[np.triu_indices(len(dist), k=1)]))
     if mean_distance <= 0:
         raise GraphValidationError("kernel init needs at least two distinct locations")
     sigma = mean_distance / 3.0
-    return np.array([np.exp(-dist[i, j] ** 2 / (2.0 * sigma**2)) for i, j in pairs])
+    # float_power squares through pow(), as a scalar ``d ** 2`` does; ``d * d``
+    # rounds 1 in about 1,300 squares otherwise, which moves kernel-start runs.
+    return np.exp(-np.float_power(dist[idx_i, idx_j], 2) / (2.0 * sigma**2))
 
 
 def _initial_weights(n, pairs, config: LearnConfig) -> np.ndarray:
@@ -311,7 +313,7 @@ def _paper_run(state: SolverState, config: LearnConfig):
             converged = True
             break
     drift = max(drift, refresh_phi(state))
-    return history, converged, drift
+    return history, converged, drift, certificate(state)
 
 
 def _optimum_run(state: SolverState, config: LearnConfig):
@@ -334,9 +336,10 @@ def _optimum_run(state: SolverState, config: LearnConfig):
             # The exit is decided on a refreshed phi.
             drift = max(drift, refresh_phi(state))
             history[-1] = state.objective
-            converged = certificate(state)[0] <= KKT_EXIT
+            exit_check = certificate(state)
+            converged = exit_check[0] <= KKT_EXIT
             if converged or capped or stalled:
-                return history, converged, drift
+                return history, converged, drift, exit_check
         # A full step has found the active set (the local regime of
         # projected Newton): its weights need no sweep, and its phi and
         # objective are exact for the next certificate.
@@ -372,9 +375,8 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
 
     start = time.perf_counter()
     state = init_state(cov, pairs, w0, q0=q0, q_min=q_min)
-    history, converged, drift = _RUNS[config.protocol](state, config)
+    history, converged, drift, (kkt_residual, duality_gap) = _RUNS[config.protocol](state, config)
     wall = time.perf_counter() - start
-    kkt_residual, duality_gap = certificate(state)
 
     graph = build_graph(
         cov.n,

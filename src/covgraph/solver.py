@@ -85,10 +85,11 @@ _MIN_SCAN_RUN = 8
 # pending update up to 512 edges, and 706 us for 2,048 edges at 31 pending.
 # Over one joint-large learn, pieces always as long as _piece_length read
 # 1.55 M resistances in 5,371 pieces; starting at 128 and doubling reads
-# 0.32 M in 5,470, while starts of 32 and 64 take 33 % and 10 % more pieces. The first edge sweep after the initial one fell from 101-124 ms to
-# 36-42 ms (minimum of 9 on one saved state). On the 35 joint desk requests
-# (n = 50) the pieces fall from 3.07 M to 1.46 M resistances, in 69,005
-# pieces against 68,955.
+# 0.32 M in 5,470, while starts of 32 and 64 take 33 % and 10 % more pieces.
+# The first edge sweep after the initial one fell from 101-124 ms to 36-42 ms
+# (minimum of 9 on one saved state). On the 35 joint desk requests (n = 50)
+# the pieces fall from 3.07 M to 1.46 M resistances, in 69,005 pieces
+# against 68,955.
 _FIRST_PIECE = 128
 _PIECE_GROWTH = 2
 
@@ -367,11 +368,33 @@ def refresh_phi(state) -> float:
     return drift
 
 
-def max_residual(gap, free) -> float:
-    """Largest |gap| over free coordinates and positive gap over bound ones:
-    the stationarity residual of coordinate steps ``gap``."""
-    residual = np.where(free, np.abs(gap), np.maximum(gap, 0.0))
-    return float(np.max(residual, initial=0.0))
+def above_floor(q, q_min) -> np.ndarray:
+    """Which importances ``q`` sit strictly above the floor ``q_min``: the
+    free importance coordinates of the joint model."""
+    return q > q_min + FLOOR_TOL
+
+
+def _stationarity(steps, free):
+    """(steps, free, residual), the residual being the largest |step| over
+    free coordinates and positive step over bound ones."""
+    residual = np.where(free, np.abs(steps), np.maximum(steps, 0.0))
+    return steps, free, float(np.max(residual, initial=0.0))
+
+
+def coordinate_steps(phi, idx_i, idx_j, h, w, p=None, q=None, q_min=None):
+    """Exact coordinate steps at the model inverse ``phi``, before any clamp:
+    1/h - 1/r for pairs (idx_i, idx_j) of edge costs ``h``, free when their
+    weights ``w`` are positive, and in joint mode (``q`` given) 1/p - 1/phi_ii
+    for vertices of variances ``p``, free when :func:`above_floor`. Returns
+    ``(r, edges, vertices)``: the resistances r and a ``(steps, free,
+    residual)`` triple per block (no vertices in baseline mode), the
+    residual being the largest step that stationarity forbids."""
+    r = pair_quadratic(phi, idx_i, idx_j)
+    if q is None:
+        vertices = np.zeros(0), np.zeros(0, dtype=bool)
+    else:
+        vertices = 1.0 / p - 1.0 / phi.diagonal(), above_floor(q, q_min)
+    return r, _stationarity(1.0 / h - 1.0 / r, w > 0.0), _stationarity(*vertices)
 
 
 def certificate(state):
@@ -379,10 +402,9 @@ def certificate(state):
     over the pairs. On a freshly refreshed phi they certify the state; on a
     maintained one they carry its rounding drift.
 
-    The residual is that of :func:`covgraph.verify.kkt_report` over the
-    state's pairs: the largest edge or vertex step 1/h - 1/r or
-    1/S_ii - 1/phi_ii that stationarity forbids. The gap bounds the
-    objective's distance to the optimum from above. By Fenchel duality,
+    The residual is that of :func:`coordinate_steps`, over the state's pairs
+    where :func:`covgraph.verify.kkt_report` takes all pairs. The gap bounds
+    the objective's distance to the optimum from above. By Fenchel duality,
     -logdet Theta >= logdet X + n - tr(Theta X) for every X > 0, and X is
     dual feasible when r_e(X) <= h_e on every pair and, in the joint model,
     X_ii <= S_ii. Scaling phi by t = max(1, max r_e / h_e, max phi_ii / S_ii)
@@ -401,14 +423,13 @@ def certificate(state):
     complementary slackness.
     """
     phi = state.phi
-    r = pair_quadratic(phi, state.idx_i, state.idx_j)
-    edge_gap = state._inv_costs - 1.0 / r
-    residual = max_residual(edge_gap, state.w > 0.0)
+    r, (_, _, edge_residual), (_, _, vertex_residual) = coordinate_steps(
+        phi, state.idx_i, state.idx_j, state.edge_costs, state.w, state._sdiag, state.q, state.q_min
+    )
+    residual = max(edge_residual, vertex_residual)
     ratios = [1.0, float(np.max(r / state.edge_costs, initial=0.0))]
     if state.q is not None:
         u = phi.diagonal()
-        free = state.q > state.q_min + FLOOR_TOL
-        residual = max(residual, max_residual(1.0 / state._sdiag - 1.0 / u, free))
         ratios.append(float(np.max(u / state._sdiag)))
     t = max(ratios)
     gap = state.n * max(log(t) - 1.0 + 1.0 / t, 0.0)
@@ -513,15 +534,12 @@ def newton_step(state):
     products. Trial points x(a) = P[x + a d], with P the projection onto
     the bounds, start at a = 1 and shrink by ``_BACKTRACK`` until
     ``model_objective`` falls below its value at x by ``_ARMIJO`` times
-    -g^T (x(a) - x), and never rises; a baseline trial point whose model
-    matrix is singular fails the test. The reference is evaluated at x, not
-    read off the state: the objective an epoch maintains from closed-form
-    changes can sit a few ulps below it, and then no trial point near the
-    optimum passes. An accepted point gets phi and the objective from
-    scratch; when no trial point passes, the state is left as it was. A
-    step can leave tiny weights that belong at zero; the coordinate epoch
-    after it clears them. The state counts the steps, their CG iterations
-    and the line searches that accepted no point.
+    -g^T (x(a) - x), and never rises (:func:`_try_point`). The reference is
+    evaluated at x, not read off the state: the objective an epoch maintains
+    from closed-form changes can sit a few ulps below it, and then no trial
+    point near the optimum passes. A step can leave tiny weights that belong
+    at zero; the coordinate epoch after it clears them. The state counts the
+    steps, their CG iterations and the line searches that accepted no point.
 
     Reading phi flushes pending updates; phi may carry the rounding drift of
     the epochs since it was last inverted, which moves the gradient by far
@@ -558,34 +576,33 @@ def newton_step(state):
     for _ in range(_MAX_TRIALS):
         trial = np.maximum(x + alpha * step, lower)
         bound = reference + _ARMIJO * min(float(grad @ (trial - x)), 0.0)
-        w = trial[:m]
-        q = trial[m:] if joint else None
-        L = laplacian_from_pairs(n, state.idx_i, state.idx_j, w)
-        try:
-            objective = model_objective(L, q, state.S)
-            if objective <= bound:
-                phi = model_inverse(L, q)
-                break
-        except SingularModelError:
-            pass
+        if _try_point(state, trial[:m], trial[m:] if joint else None, lambda f: f <= bound):
+            return alpha, iterations
         alpha *= _BACKTRACK
-    else:
-        state.failed_line_searches += 1
-        return 0.0, iterations
-    _accept(state, w, q, phi, objective)
-    return alpha, iterations
+    state.failed_line_searches += 1
+    return 0.0, iterations
 
 
-def _accept(state, w, q, phi, objective):
+def _try_point(state, w, q, accept) -> bool:
     """Move the state to weights ``w`` and importances ``q`` (None in
-    baseline mode), whose model inverse and objective were computed from
-    scratch."""
+    baseline mode), with phi and the objective computed from scratch, when
+    ``accept(objective)`` holds and the model matrix is not singular;
+    returns whether it moved. Otherwise the state stays byte for byte."""
+    L = laplacian_from_pairs(state.n, state.idx_i, state.idx_j, w)
+    try:
+        objective = model_objective(L, q, state.S)
+        if not accept(objective):
+            return False
+        phi = model_inverse(L, q)
+    except SingularModelError:
+        return False
     state.w[:] = w
     if q is not None:
         state.q[:] = q
     state.phi = phi
     state.objective = objective
     state.updates_since_refresh = 0
+    return True
 
 
 def clamp_step(state) -> int:
@@ -594,40 +611,25 @@ def clamp_step(state) -> int:
     was.
 
     The steps are those of :func:`_apply_edge`, all read off the current
-    phi: an edge with w > 0 clamps when 1/h - 1/r <= -w. The new point
-    takes one Laplacian, one objective and one inverse, all from scratch.
-    It is kept only when its objective lies strictly below
-    ``state.objective``, which should therefore be exact, as it is after
-    :func:`init_state` or :func:`refresh_phi`, and when its model inverse
-    exists (a baseline clamp can disconnect the graph); otherwise the state
-    is left byte for byte as it was.
+    phi by :func:`coordinate_steps`: an edge with w > 0 clamps when
+    1/h - 1/r <= -w. :func:`_try_point` keeps the new point only when its
+    objective lies strictly below ``state.objective``, which should
+    therefore be exact, as it is after :func:`init_state` or
+    :func:`refresh_phi`; a baseline clamp that disconnects the graph is
+    rejected.
 
     It acts on all coordinates at once, as projected Newton does
     (Bertsekas, SIAM J. Control Optim. 1982), but moves only the weights
-    that want to leave. At a start where every weight is positive and the
-    dense graph keeps every resistance small, as at a kernel start, nearly
-    all of them do: at joint n = 200, trial 0, r = 1 the first edge sweep
-    zeroes all but 14 of 19,900 weights, one rank-one update each, in about
-    0.3 s, and this step all but one in about 5 ms (Intel Xeon, numpy 2.4,
-    1 BLAS thread).
+    that want to leave; :mod:`covgraph.learn` says what it saves at a
+    kernel start.
     """
-    r = pair_quadratic(state.phi, state.idx_i, state.idx_j)
     w = state.w
-    clamped = (w > 0.0) & (state._inv_costs - 1.0 / r <= -w)
+    _, (steps, free, _), _ = coordinate_steps(state.phi, state.idx_i, state.idx_j, state.edge_costs, w)
+    clamped = free & (steps <= -w)
     count = int(np.count_nonzero(clamped))
-    if not count:
-        return 0
-    trial = np.where(clamped, 0.0, w)
-    L = laplacian_from_pairs(state.n, state.idx_i, state.idx_j, trial)
-    try:
-        objective = model_objective(L, state.q, state.S)
-        if not objective < state.objective:
-            return 0
-        phi = model_inverse(L, state.q)
-    except SingularModelError:
-        return 0
-    _accept(state, trial, state.q, phi, objective)
-    return count
+    if count and _try_point(state, np.where(clamped, 0.0, w), state.q, lambda f: f < state.objective):
+        return count
+    return 0
 
 
 def _rank_one_update(state, v, c):

@@ -5,9 +5,11 @@ At a minimizer of either model, joint diag(q) + L or baseline L + J/n,
 every coordinate is stationary: each positive weight has matching edge cost
 and effective resistance (1/h = 1/r), each zero weight has 1/h <= 1/r, and
 the analogous conditions hold for joint importances against their floor.
-``kkt_report`` checks both models from a freshly inverted model matrix,
-independently of the solver's maintained state, so the two paths
-cross-validate each other. The weight bounds are joint-model results.
+``kkt_report`` checks both models on a freshly inverted model matrix at
+every vertex pair with :func:`covgraph.solver.coordinate_steps`, as the
+learner's exit check does; the independent references are the tests'
+pair loop ``kkt_residuals_loop`` and the benchmark's stationarity gate
+(``perfbench/stationarity.py``). The weight bounds are joint-model results.
 """
 from __future__ import annotations
 
@@ -18,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import as_covariance, build_graph, laplacian
-from .solver import FLOOR_TOL, max_residual, model_inverse, model_objective, pair_quadratic
-
-
-def above_floor(graph) -> np.ndarray:
-    """Which importances of a joint graph sit strictly above its floor: the
-    free importance coordinates of the joint model."""
-    return graph.q > graph.q_min + FLOOR_TOL
+from .solver import above_floor, coordinate_steps, edge_cost, model_inverse, model_objective
 
 
 @dataclass
@@ -135,10 +131,8 @@ def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
     if graph.q is None:
         raise ValueError("bound report requires a graph with vertex importances")
     S = as_covariance(S).entries
-    free = above_floor(graph)
+    free = above_floor(graph.q, graph.q_min)
     records = []
-    n_applicable = 0
-    n_violated = 0
     for i, j, w in graph.edges:
         rho, bound = _correlation_bound(S, i, j)
         applicable = bool(free[i] and free[j]) and not math.isnan(bound)
@@ -155,14 +149,12 @@ def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
                 excess=float(w - bound) if violated else 0.0,
             )
         )
-        n_applicable += applicable
-        n_violated += violated
     return BoundReport(
         tol=tol,
         records=records,
         n_edges=len(records),
-        n_applicable=n_applicable,
-        n_violated=n_violated,
+        n_applicable=sum(rec.applicable for rec in records),
+        n_violated=sum(rec.violated for rec in records),
     )
 
 
@@ -170,9 +162,11 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     """Verify first-order optimality of a learned graph from scratch.
 
     Inverts the model matrix directly (diag(q) + L with importances, the
-    baseline L + J/n without) and checks stationarity of every vertex pair
-    (not just stored edges) and every importance. A disconnected baseline
-    graph raises :class:`~covgraph.solver.SingularModelError`.
+    baseline L + J/n without) and checks the steps of
+    :func:`covgraph.solver.coordinate_steps` at every vertex pair (not just
+    stored edges) and every importance. A disconnected baseline graph raises
+    :class:`~covgraph.solver.SingularModelError`; a degenerate covariance
+    raises the error of :func:`covgraph.solver.edge_cost`, as learning does.
     """
     graph = _graph_of(result_or_graph)
     S = as_covariance(S).entries
@@ -180,27 +174,21 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     phi = model_inverse(L, graph.q)
 
     idx_i, idx_j = np.triu_indices(graph.n, k=1)
-    edge_gap = 1.0 / pair_quadratic(S, idx_i, idx_j) - 1.0 / pair_quadratic(phi, idx_i, idx_j)
     off_diag = L[idx_i, idx_j]
-    free_edge = off_diag < 0.0  # the pairs carrying weight
-    max_edge = max_residual(edge_gap, free_edge)
-    violations = int(np.count_nonzero(~free_edge & (edge_gap > tol)))
-
-    max_vertex = 0.0
-    if graph.q is not None:
-        vertex_gap = 1.0 / np.diag(S) - 1.0 / np.diag(phi)
-        free_vertex = above_floor(graph)
-        max_vertex = max_residual(vertex_gap, free_vertex)
-        violations += int(np.count_nonzero(~free_vertex & (vertex_gap > tol)))
+    _, edges, vertices = coordinate_steps(
+        phi, idx_i, idx_j, edge_cost(S, idx_i, idx_j), -off_diag, S.diagonal(), graph.q, graph.q_min
+    )
+    violations = sum(int(np.count_nonzero(~f & (s > tol))) for s, f, _ in (edges, vertices))
+    max_edge, max_vertex = edges[2], vertices[2]
 
     # On L, not L + J/n: its off-diagonals -w + 1/n are positive for light edges.
     m_matrix_ok = bool(np.all(off_diag <= 0.0))
 
     return KKTReport(
         tol=float(tol),
-        max_edge_residual=float(max_edge),
-        max_vertex_residual=float(max_vertex),
-        complementarity_violations=int(violations),
+        max_edge_residual=max_edge,
+        max_vertex_residual=max_vertex,
+        complementarity_violations=violations,
         m_matrix_ok=m_matrix_ok,
         passed=bool(max_edge <= tol and max_vertex <= tol and m_matrix_ok),
     )

@@ -219,6 +219,20 @@ def explicit_hessian(phi, pairs, vertices):
     return G * G
 
 
+def kernel_weights_loop(points, pairs):
+    """Gaussian-kernel start weights exp(-d^2 / (2 sigma^2)), one pair at a
+    time in numpy scalar arithmetic, with sigma a third of the mean distance
+    over all pairs."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+
+    def dist(i, j):
+        return np.sqrt(sum(np.square(points[i, k] - points[j, k]) for k in range(points.shape[1])))
+
+    sigma = float(np.mean([dist(i, j) for i in range(n) for j in range(i + 1, n)])) / 3.0
+    return np.array([np.exp(-dist(i, j) ** 2 / (2.0 * sigma**2)) for i, j in pairs])
+
+
 def screen_pairs_loop(S):
     """Pairs (i, j), i < j, with a strictly positive covariance entry."""
     n = S.shape[0]

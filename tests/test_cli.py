@@ -219,6 +219,32 @@ class TestVerify:
         cio.write_covariance_csv(other, kernel_spd_covariance(6, seed=9))
         assert run("verify", "--graph", str(graph_path), "--cov", str(other)) == 1
 
+    @pytest.mark.parametrize("rows", [5, 13])
+    def test_points_must_match_the_vertex_count(self, tmp_path, synth_files, capsys, rows):
+        cov, pts = synth_files
+        graph = tmp_path / "graph.json"
+        assert run("learn", "--cov", str(cov), "--points", str(pts), "--out", str(graph)) == 0
+        points = cio.read_points_csv(pts)
+        bad = tmp_path / "bad.csv"
+        cio.write_points_csv(bad, np.vstack([points, points])[:rows])
+        outputs = [tmp_path / "kkt.json", tmp_path / "bounds.csv"]
+        status = run("verify", "--graph", str(graph), "--cov", str(cov), "--points", str(bad),
+                     "--out-kkt", str(outputs[0]), "--bounds-csv", str(outputs[1]))
+        assert status == 1
+        assert f"{rows} locations for a 12-vertex covariance" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)
+
+    def test_degenerate_covariance_exits_one(self, tmp_path, capsys):
+        # Vertices 0 and 1 are perfectly correlated: their edge cost is 0.
+        cov = tmp_path / "cov.csv"
+        cio.write_covariance_csv(cov, np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]]))
+        graph = tmp_path / "graph.json"
+        cio.write_graph_json(graph, build_graph(3, [(0, 2, 0.5)], q=np.ones(3), q_min=0.01))
+        kkt_path = tmp_path / "kkt.json"
+        assert run("verify", "--graph", str(graph), "--cov", str(cov), "--out-kkt", str(kkt_path)) == 1
+        assert "pair (0, 1)" in capsys.readouterr().err
+        assert not kkt_path.exists()
+
     @pytest.fixture()
     def baseline(self, tmp_path):
         S = kernel_spd_covariance(4, seed=10)

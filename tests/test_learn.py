@@ -5,9 +5,11 @@ Oracles: the closed-form two-node optimum (the unconstrained stationary
 point S^{-1} is feasible there), a planted-graph self-consistency check for
 the baseline, and an independent projected-gradient minimizer.
 """
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
@@ -33,8 +35,13 @@ from covgraph.bench import (
 from covgraph.graphs import laplacian_from_pairs
 from covgraph.learn import KKT_EXIT, WARM_EPOCHS, epoch, learn
 from covgraph.solver import clamp_step, evaluate_objective, newton_step, refresh_phi, sweep_edges
-from _support import batched_path, edge_weight_map, kernel_spd_covariance
-from oracles import minimize_baseline_objective, minimize_joint_objective, sweep_edges_loop
+from _support import batched_path, edge_weight_map, kernel_spd_covariance, mixed_sign_spd_covariance
+from oracles import (
+    kernel_weights_loop,
+    minimize_baseline_objective,
+    minimize_joint_objective,
+    sweep_edges_loop,
+)
 
 S2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 F2_STAR = np.log(0.75) + 2.0  # logdet(S) + n at theta = S^{-1}
@@ -327,6 +334,28 @@ class TestInitModes:
         result = learn_joint(S, LearnConfig(init="kernel", points=points))
         assert result.converged
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), keep=st.floats(0.0, 1.0))
+    def test_kernel_weights_match_the_pair_loop_byte_for_byte(self, n, seed, keep):
+        # Random locations, some of them repeated, and a random subset of pairs.
+        rng = np.random.default_rng(seed)
+        points = rng.random((n, 2))
+        points[rng.random(n) < 0.2] = points[0]
+        pairs = [pair for pair in all_pairs(n) if rng.random() < keep]
+        assume(np.any(covgraph.learn.pairwise_distances(points) > 0))
+        expected = kernel_weights_loop(points, pairs)
+        assert covgraph.learn.kernel_weights(points, pairs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("method", ["joint", "baseline"])
+    def test_single_vertex_kernel_learn_warns_nothing(self, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = covgraph.learn.kernel_weights(np.zeros((1, 2)), [])
+            config = LearnConfig(method=method, init="kernel", points=np.zeros((1, 2)))
+            result = learn(np.array([[2.0]]), config)
+        assert weights.shape == (0,) and weights.dtype == float
+        assert result.graph.edges == () and result.converged
+
     def test_given_init(self):
         S = kernel_spd_covariance(3, seed=8)
         config = LearnConfig(init="given", init_weights={(0, 1): 0.5, (1, 2): 0.1})
@@ -545,6 +574,27 @@ class TestCertificates:
             for result in (optimum, paper):
                 assert result.duality_gap >= 0.0
                 assert result.kkt_residual >= 0.0
+
+    @pytest.mark.parametrize("protocol", ["optimum", "paper"])
+    @pytest.mark.parametrize("method", ["joint", "baseline"])
+    @pytest.mark.parametrize("n", [50, 112])
+    def test_kkt_residual_is_that_of_kkt_report(self, n, method, protocol):
+        # Unscreened, the learner's pairs are all pairs, which kkt_report
+        # checks on its own inverse: one number. n = 112 takes the batched
+        # path; max_epochs keeps the learns short, converged or not.
+        sample, S = desk_problem(0, 1.0, n=n)
+        result = learn(S, kernel_config(sample, method=method, protocol=protocol, max_epochs=8))
+        report = kkt_report(result, S)
+        assert result.kkt_residual == max(report.max_edge_residual, report.max_vertex_residual)
+
+    @pytest.mark.parametrize("protocol", ["optimum", "paper"])
+    @pytest.mark.parametrize("n", [50, 112])
+    def test_screened_kkt_residual_is_at_most_that_of_kkt_report(self, n, protocol):
+        # Screening drops the pairs with S_ij <= 0, which kkt_report still checks.
+        S = mixed_sign_spd_covariance(n, seed=n)
+        result = learn(S, LearnConfig(screen=True, protocol=protocol, max_epochs=8))
+        report = kkt_report(result, S)
+        assert result.kkt_residual <= max(report.max_edge_residual, report.max_vertex_residual)
 
     def test_paper_gap_bounds_its_distance_to_the_optimum(self):
         for _, optimum, paper in certificate_cases():

@@ -5,6 +5,7 @@ The two-node problem is the sharpness witness: its learned weight must meet
 the correlation bound with equality.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
+    GraphValidationError,
     LearnConfig,
     SingularModelError,
     all_pairs,
@@ -176,6 +178,21 @@ class TestKktReport:
             report.max_vertex_residual,
             report.complementarity_violations,
         ) == expected
+
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_degenerate_covariance_raises_as_learning_does(self, joint):
+        # Vertices 0 and 1 are perfectly correlated: their edge cost is 0.
+        S = np.array([[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]])
+        q, q_min = (np.ones(3), 0.01) if joint else (None, None)
+        graph = build_graph(3, [(0, 2, 0.5), (1, 2, 0.5)], q=q, q_min=q_min)
+        with pytest.raises(GraphValidationError) as learning:
+            (learn_joint if joint else learn_cgl_baseline)(S)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphValidationError) as checking:
+                kkt_report(graph, S)
+        assert str(checking.value) == str(learning.value)
+        assert "pair (0, 1)" in str(checking.value)
 
     def test_agrees_with_independent_stationarity_check(self):
         # Same instance as the learner-side stationarity test.

@@ -22,6 +22,13 @@ medians differ by more than the parent's interquartile range.
 
     python3 tools/bench_pairs.py --in-process --parent HEAD~1 --change HEAD --pairs 10 --out BENCH_7.json
 
+Each run is a fresh process and runs at least one whole pass over its
+workload's pool after the warmup, so a tiny run length gives each side's
+peak memory for one pass (one learn for ``joint-large``, the two fixtures
+for ``analyze``) under ``peak_rss_mb``, with no other tool:
+
+    python3 tools/bench_pairs.py --parent HEAD --workloads joint-large,analyze --seconds 0.001 --pairs 5 --out rss.json
+
 ``--in-process`` measures in one process instead, which the machine's
 drift between processes does not reach. Both trees are imported side by
 side, under the package names ``covgraph_parent`` and ``covgraph_change``.
