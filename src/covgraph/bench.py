@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs
-from .learn import LearnConfig, kernel_weights, learn, pairwise_distances
+from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs, pairwise_distances
+from .learn import LearnConfig, kernel_weights, learn
 from .solver import SingularModelError, above_floor
 from .verify import baseline_variogram_edge_bound, variogram_edge_bound
 
@@ -95,10 +95,10 @@ def variogram_covariance(sample_or_points, spec: VariogramSpec) -> CovarianceMat
 
 
 def kernel_initial_graph(sample_or_points) -> np.ndarray:
-    """Fully connected Gaussian-kernel starting weights over all pairs,
-    ordered like :func:`covgraph.graphs.all_pairs`."""
+    """Fully connected Gaussian-kernel starting weights, one per pair of
+    :func:`covgraph.graphs.all_pairs`, in its order."""
     points = _points_of(sample_or_points)
-    return kernel_weights(points, all_pairs(points.shape[0]))
+    return kernel_weights(points, *all_pairs(points.shape[0]))
 
 
 def compute_metrics(result, method=None, r=None) -> MetricsRow:

@@ -43,8 +43,10 @@ class Graph:
         return len(self.edges)
 
     def pair_arrays(self):
-        """Edge endpoints as two int arrays (empty arrays when edgeless)."""
-        return endpoint_arrays([(i, j) for i, j, _ in self.edges])
+        """Endpoints of the stored edges as a pair set, the form of :func:`all_pairs`."""
+        idx_i = np.fromiter((i for i, _, _ in self.edges), int, self.m)
+        idx_j = np.fromiter((j for _, j, _ in self.edges), int, self.m)
+        return idx_i, idx_j
 
     def weights(self) -> np.ndarray:
         return np.array([w for _, _, w in self.edges], dtype=float)
@@ -108,12 +110,6 @@ def build_graph(n, edges, q=None, q_min=None) -> Graph:
     return Graph(n=n, edges=kept, q=q, q_min=q_min)
 
 
-def endpoint_arrays(pairs):
-    """Pairs (i, j) as two int arrays of endpoints (empty arrays when there are none)."""
-    idx = np.array(pairs, dtype=int).reshape(-1, 2)
-    return idx[:, 0], idx[:, 1]
-
-
 def laplacian_from_pairs(n, idx_i, idx_j, w) -> np.ndarray:
     """Dense combinatorial Laplacian from parallel endpoint/weight arrays of
     distinct pairs.
@@ -126,8 +122,6 @@ def laplacian_from_pairs(n, idx_i, idx_j, w) -> np.ndarray:
     off-diagonals are ``0.0 - w``, which keeps a zero weight +0.0 as
     ``0.0 + (-w)`` does.
     """
-    idx_i = np.asarray(idx_i, dtype=int)
-    idx_j = np.asarray(idx_j, dtype=int)
     w = np.asarray(w, dtype=float)
     L = np.zeros((n, n))
     L[np.diag_indices(n)] = np.bincount(
@@ -154,8 +148,16 @@ def incidence_vector(n, i, j) -> np.ndarray:
 
 
 def all_pairs(n):
-    """All vertex pairs (i, j) with i < j, in sorted order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    """Every vertex pair (i, j) with i < j as a pair set: two int arrays
+    ``(idx_i, idx_j)`` of endpoints, sorted by (i, j)."""
+    return np.triu_indices(n, k=1)
+
+
+def pairwise_distances(points) -> np.ndarray:
+    """Euclidean distance matrix of an (n, d) array of points, summed one
+    coordinate at a time (several times faster than an (n, n, d) array)."""
+    points = np.asarray(points, dtype=float)
+    return np.sqrt(sum(np.square(c[:, None] - c[None, :]) for c in points.T))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import CovarianceMatrix, Graph, GraphValidationError, build_graph
+from .graphs import CovarianceMatrix, Graph, GraphValidationError, build_graph, pairwise_distances
 
 
 def _fmt(x) -> str:
@@ -178,9 +178,7 @@ def write_bound_table_csv(dest, report, points=None) -> None:
     if points is None:
         dists = np.full(len(records), np.nan)
     else:
-        points = np.asarray(points)
-        ends = np.array([(rec.i, rec.j) for rec in records], dtype=int).reshape(-1, 2)
-        dists = np.hypot(*(points[ends[:, 0]] - points[ends[:, 1]]).T)
+        dists = pairwise_distances(points)[[rec.i for rec in records], [rec.j for rec in records]]
     for rec, d in zip(records, dists.tolist()):
         lines.append(
             f"{rec.i},{rec.j},{_fmt(d)},{_fmt(rec.w)},{_fmt(rec.bound)},{int(rec.violated)}\n"

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphValidationError, all_pairs, as_covariance, build_graph, endpoint_arrays
+from .graphs import Graph, GraphValidationError, all_pairs, as_covariance, build_graph, pairwise_distances
 from .solver import (
     SolverState,
     certificate,
@@ -251,21 +251,13 @@ def epoch(state: SolverState) -> float:
     return change
 
 
-def pairwise_distances(points) -> np.ndarray:
-    """Euclidean distance matrix of an (n, d) array of points, summed one
-    coordinate at a time (several times faster than an (n, n, d) array)."""
-    points = np.asarray(points, dtype=float)
-    return np.sqrt(sum(np.square(c[:, None] - c[None, :]) for c in points.T))
-
-
-def kernel_weights(points, pairs) -> np.ndarray:
-    """Gaussian-kernel starting weights exp(-d^2 / (2 sigma^2)) over ``pairs``,
-    with sigma one third of the mean pairwise distance."""
-    idx_i, idx_j = endpoint_arrays(pairs)
-    if not idx_i.size:
+def kernel_weights(points, idx_i, idx_j) -> np.ndarray:
+    """Gaussian-kernel starting weights exp(-d^2 / (2 sigma^2)) over the pair
+    set ``(idx_i, idx_j)``, with sigma one third of the mean pairwise distance."""
+    if not len(idx_i):
         return np.zeros(0)
     dist = pairwise_distances(points)
-    mean_distance = float(np.mean(dist[np.triu_indices(len(dist), k=1)]))
+    mean_distance = float(np.mean(dist[all_pairs(len(dist))]))
     if mean_distance <= 0:
         raise GraphValidationError("kernel init needs at least two distinct locations")
     sigma = mean_distance / 3.0
@@ -274,12 +266,12 @@ def kernel_weights(points, pairs) -> np.ndarray:
     return np.exp(-np.float_power(dist[idx_i, idx_j], 2) / (2.0 * sigma**2))
 
 
-def _initial_weights(n, pairs, config: LearnConfig) -> np.ndarray:
+def _initial_weights(n, idx_i, idx_j, config: LearnConfig) -> np.ndarray:
     if config.init == "uniform":
         value = 1.0 / n if config.init_value is None else float(config.init_value)
         if value < 0:
             raise GraphValidationError("uniform init weight must be nonnegative")
-        return np.full(len(pairs), value)
+        return np.full(len(idx_i), value)
     if config.init == "kernel":
         if config.points is None:
             raise GraphValidationError("kernel init requires vertex coordinates")
@@ -288,16 +280,17 @@ def _initial_weights(n, pairs, config: LearnConfig) -> np.ndarray:
             raise GraphValidationError(
                 f"kernel init got {points.shape[0]} locations for {n} vertices"
             )
-        return kernel_weights(points, pairs)
+        return kernel_weights(points, idx_i, idx_j)
     # given
     if config.init_weights is None:
         raise GraphValidationError("init='given' requires init_weights")
-    active = set(pairs)
+    active = set(zip(idx_i.tolist(), idx_j.tolist()))
     for key in config.init_weights:
         i, j = key
         if (int(i), int(j)) not in active:
             raise GraphValidationError(f"init weight for inactive pair {key!r}")
-    return np.array([float(config.init_weights.get((i, j), 0.0)) for i, j in pairs])
+    pairs = zip(idx_i.tolist(), idx_j.tolist())
+    return np.array([float(config.init_weights.get(pair, 0.0)) for pair in pairs])
 
 
 def _paper_run(state: SolverState, config: LearnConfig):
@@ -366,15 +359,15 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
     cov = as_covariance(S)
     config = config or LearnConfig()
 
-    pairs = screen_edges(cov) if config.screen else all_pairs(cov.n)
-    w0 = _initial_weights(cov.n, pairs, config)
+    idx_i, idx_j = screen_edges(cov) if config.screen else all_pairs(cov.n)
+    w0 = _initial_weights(cov.n, idx_i, idx_j, config)
     if config.method == "joint":
         q0, q_min = 1.0, config.q_min
     else:
         q0 = q_min = None
 
     start = time.perf_counter()
-    state = init_state(cov, pairs, w0, q0=q0, q_min=q_min)
+    state = init_state(cov, idx_i, idx_j, w0, q0=q0, q_min=q_min)
     history, converged, drift, (kkt_residual, duality_gap) = _RUNS[config.protocol](state, config)
     wall = time.perf_counter() - start
 

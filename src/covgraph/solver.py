@@ -63,7 +63,7 @@ from math import log, log1p
 
 import numpy as np
 
-from .graphs import GraphValidationError, as_covariance, endpoint_arrays, laplacian_from_pairs
+from .graphs import GraphValidationError, as_covariance, laplacian_from_pairs
 
 # Smallest allowed determinant factor for a baseline edge update; stepping
 # past it would make L + J/n numerically singular (disconnected graph).
@@ -166,7 +166,8 @@ class CoordinateUpdate:
 class SolverState:
     """Mutable single-owner state of one coordinate-minimization run, built
     by :func:`init_state`, which validates the inputs and gives the state
-    its own pair list, weights and importances. ``q is None`` selects the
+    its own pair set, weights and importances; ``pairs`` repeats the pair
+    set as int tuples for the per-edge loops. ``q is None`` selects the
     baseline model."""
 
     def __init__(self, S, idx_i, idx_j, w, q, q_min):
@@ -301,10 +302,11 @@ def model_inverse(L, q=None) -> np.ndarray:
     return (phi + phi.T) / 2.0
 
 
-def init_state(S, pairs, w0, q0=None, q_min=None) -> SolverState:
+def init_state(S, idx_i, idx_j, w0, q0=None, q_min=None) -> SolverState:
     """Build a solver state with phi from direct dense inversion.
 
-    ``pairs`` is the active candidate edge set (i < j, no duplicates) and
+    ``(idx_i, idx_j)`` is the active pair set in the form that
+    :func:`covgraph.graphs.all_pairs` gives (i < j, no duplicates) and
     ``w0`` its initial weights. Passing ``q0`` selects joint mode (then
     ``q_min`` is required and q0 must respect it); ``q0=None`` selects
     baseline mode, which requires the initial graph to be connected.
@@ -313,7 +315,11 @@ def init_state(S, pairs, w0, q0=None, q_min=None) -> SolverState:
     S = cov.entries
     n = cov.n
 
-    idx_i, idx_j = endpoint_arrays(pairs)
+    idx_i, idx_j = np.asarray(idx_i), np.asarray(idx_j)
+    if idx_i.ndim != 1 or idx_i.shape != idx_j.shape or {idx_i.dtype.kind, idx_j.dtype.kind} - {"i", "u"}:
+        got = f"{idx_i.dtype} {idx_i.shape} and {idx_j.dtype} {idx_j.shape}"
+        raise GraphValidationError(f"active pairs must be two 1-D int arrays of equal length, got {got}")
+    idx_i, idx_j = idx_i.astype(int), idx_j.astype(int)
     m = len(idx_i)
     # The first pair out of order or range, or equal to an earlier pair,
     # is named; keys of out-of-range pairs are distinct negatives.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import as_covariance, build_graph, laplacian
+from .graphs import all_pairs, as_covariance, build_graph, laplacian
 from .solver import above_floor, coordinate_steps, edge_cost, model_inverse, model_objective
 
 
@@ -110,15 +110,16 @@ def baseline_variogram_edge_bound(d, r, sill=10.0):
     return out if out.ndim else float(out)
 
 
-def screen_edges(S) -> list:
-    """Candidate pairs that can carry weight at a joint optimum: S_ij > 0.
+def screen_edges(S):
+    """The pair set that can carry weight at a joint optimum, the pairs of
+    :func:`covgraph.graphs.all_pairs` with S_ij > 0, in its form and order.
 
     Exact for the joint model only; a baseline optimum can put weight on
     pairs with S_ij <= 0, so the baseline learner does not screen."""
     S = as_covariance(S).entries
-    idx_i, idx_j = np.triu_indices(S.shape[0], k=1)
+    idx_i, idx_j = all_pairs(S.shape[0])
     keep = S[idx_i, idx_j] > 0
-    return list(zip(idx_i[keep].tolist(), idx_j[keep].tolist()))
+    return idx_i[keep], idx_j[keep]
 
 
 def _graph_of(result_or_graph):
@@ -173,7 +174,7 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     L = laplacian(graph)
     phi = model_inverse(L, graph.q)
 
-    idx_i, idx_j = np.triu_indices(graph.n, k=1)
+    idx_i, idx_j = all_pairs(graph.n)
     off_diag = L[idx_i, idx_j]
     _, edges, vertices = coordinate_steps(
         phi, idx_i, idx_j, edge_cost(S, idx_i, idx_j), -off_diag, S.diagonal(), graph.q, graph.q_min

@@ -50,3 +50,19 @@ def mixed_sign_spd_covariance(n, seed, shift=0.5):
 
 def edge_weight_map(graph):
     return {(i, j): w for i, j, w in graph.edges}
+
+
+def pair_list(pairs):
+    """A pair set ``(idx_i, idx_j)`` as a list of (i, j) tuples of ints, the
+    form the loop oracles take and return."""
+    idx_i, idx_j = pairs
+    return list(zip(idx_i.tolist(), idx_j.tolist()))
+
+
+def assert_pair_set(pairs, expected):
+    """``pairs`` is a pair set, two 1-D int arrays of endpoints, that holds
+    the (i, j) tuples of ``expected`` in their order."""
+    idx_i, idx_j = pairs
+    assert idx_i.ndim == idx_j.ndim == 1
+    assert idx_i.dtype.kind == idx_j.dtype.kind == "i"
+    assert pair_list(pairs) == list(expected)

@@ -45,7 +45,7 @@ from covgraph import (
 )
 from covgraph.graphs import CovarianceMatrix
 from covgraph.learn import epoch, kernel_weights
-from _support import edge_weight_map, kernel_spd_covariance, mixed_sign_spd_covariance
+from _support import edge_weight_map, kernel_spd_covariance, mixed_sign_spd_covariance, pair_list
 from oracles import (
     direct_inverse_oracle,
     minimize_baseline_objective,
@@ -137,7 +137,7 @@ def test_criterion_3_monte_carlo_model_covariance():
 def test_criterion_4_descent_and_stationarity():
     checked_updates = 0
     for name, S in _joint_corpus():
-        state = init_state(S, all_pairs(S.n), 0.0, q0=1.0, q_min=1e-4)
+        state = init_state(S, *all_pairs(S.n), 0.0, q0=1.0, q_min=1e-4)
         for _ in range(2000):
             before = state.objective
             for e in range(state.m):
@@ -164,7 +164,7 @@ def test_criterion_4_descent_and_stationarity():
         assert report.passed, f"{name}: stationarity report failed ({report})"
 
     # Descent also holds for the baseline update path.
-    state = init_state(kernel_spd_covariance(5, seed=42), all_pairs(5), 0.2)
+    state = init_state(kernel_spd_covariance(5, seed=42), *all_pairs(5), 0.2)
     for _ in range(200):
         before = state.objective
         for e in range(state.m):
@@ -186,11 +186,11 @@ def test_criterion_5_rank_one_inverse_fidelity():
         sample = sample_locations(20, seed=seed)
         S = variogram_covariance(sample, VariogramSpec(range_=0.2))
         pairs = all_pairs(20)
-        w0 = kernel_weights(sample.points, pairs)
+        w0 = kernel_weights(sample.points, *pairs)
         if mode == "joint":
-            state = init_state(S, pairs, w0, q0=1.0, q_min=1e-4)
+            state = init_state(S, *pairs, w0, q0=1.0, q_min=1e-4)
         else:
-            state = init_state(S, pairs, w0)
+            state = init_state(S, *pairs, w0)
         for k in range(200):
             epoch(state)
             if (k + 1) % 50 == 0:
@@ -231,7 +231,7 @@ def test_criterion_7_nonpositive_pairs_carry_no_weight():
             (i, j) for i in range(n) for j in range(i + 1, n) if S.entries[i, j] <= 0
         ]
         assert nonpositive, "generator must produce nonpositive off-diagonals"
-        kept = set(screen_edges(S))
+        kept = set(pair_list(screen_edges(S)))
         for i in range(n):
             for j in range(i + 1, n):
                 assert ((i, j) in kept) == (S.entries[i, j] > 0)

@@ -13,21 +13,22 @@ from covgraph import (
     incidence_vector,
     laplacian,
 )
-from covgraph.graphs import endpoint_arrays, laplacian_from_pairs
+from covgraph.graphs import laplacian_from_pairs
+from _support import assert_pair_set
 from oracles import assemble_model_matrix, laplacian_add_at
 
 
 @st.composite
 def sorted_weighted_pairs(draw, max_n=12):
-    """(n, pairs, w): a random subset of all_pairs(n) in sorted order, with
-    nonnegative weights spanning many magnitudes so summation order shows."""
+    """(n, (idx_i, idx_j), w): a random subset of all_pairs(n) in sorted
+    order, with nonnegative weights spanning many magnitudes so summation
+    order shows."""
     n = draw(st.integers(1, max_n))
-    pairs = all_pairs(n)
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    chosen = [p for p, k in zip(pairs, keep) if k]
+    idx_i, idx_j = all_pairs(n)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=len(idx_i), max_size=len(idx_i))), dtype=bool)
     weight = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)
-    w = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
-    return n, chosen, w
+    w = draw(st.lists(weight, min_size=int(keep.sum()), max_size=int(keep.sum())))
+    return n, (idx_i[keep], idx_j[keep]), w
 
 
 class TestBuildGraph:
@@ -133,8 +134,8 @@ class TestLaplacian:
     @given(sorted_weighted_pairs())
     def test_from_pairs_bit_identical_to_loop_assembly(self, case):
         n, pairs, w = case
-        L = laplacian_from_pairs(n, *endpoint_arrays(pairs), w)
-        expected = assemble_model_matrix(n, pairs, w)
+        L = laplacian_from_pairs(n, *pairs, w)
+        expected = assemble_model_matrix(n, zip(*pairs), w)
         assert L.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -142,11 +143,12 @@ class TestLaplacian:
     def test_from_pairs_bit_identical_to_add_at(self, data):
         # Any order of distinct pairs, weights of either sign and many zeros.
         n = data.draw(st.integers(1, 12))
-        pairs = data.draw(st.permutations(all_pairs(n)))
-        pairs = pairs[: data.draw(st.integers(0, len(pairs)))]
+        all_i, all_j = all_pairs(n)
+        order = data.draw(st.permutations(range(len(all_i))))
+        order = np.array(order[: data.draw(st.integers(0, len(order)))], dtype=int)
         weight = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
-        w = data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
-        idx_i, idx_j = (np.array([p[k] for p in pairs], dtype=int) for k in (0, 1))
+        w = data.draw(st.lists(weight, min_size=len(order), max_size=len(order)))
+        idx_i, idx_j = all_i[order], all_j[order]
         L = laplacian_from_pairs(n, idx_i, idx_j, w)
         assert L.tobytes() == laplacian_add_at(n, idx_i, idx_j, w).tobytes()
 
@@ -194,5 +196,17 @@ class TestCovarianceMatrix:
 
 
 def test_all_pairs_sorted():
-    assert all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
-    assert len(all_pairs(50)) == 50 * 49 // 2
+    assert_pair_set(all_pairs(3), [(0, 1), (0, 2), (1, 2)])
+    assert all(len(idx) == 50 * 49 // 2 for idx in all_pairs(50))
+
+
+@settings(max_examples=31, deadline=None)
+@given(st.integers(0, 30))
+def test_all_pairs_is_the_double_loop(n):
+    assert_pair_set(all_pairs(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_pair_arrays_are_the_stored_edges():
+    g = build_graph(4, [(2, 3, 1.0), (0, 2, 0.5), (1, 0, 2.0)])
+    assert_pair_set(g.pair_arrays(), [(0, 1), (0, 2), (2, 3)])
+    assert_pair_set(build_graph(3, []).pair_arrays(), [])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from covgraph import GraphValidationError, build_graph, laplacian, learn_joint
 from covgraph import io as cio
+from covgraph.graphs import pairwise_distances
 from _support import kernel_spd_covariance
 
 
@@ -248,9 +249,10 @@ class TestReportsAndTables:
         lines = path.read_text().splitlines()
         assert lines[0] == "i,j,d,w,bound,violated"
         assert len(lines) == 1 + len(report.records)
-        # Each distance is the per-edge hypot of the endpoint difference.
+        # Each distance is the pairwise_distances entry of the edge, byte for byte.
+        dist = pairwise_distances(pts)
         for line, rec in zip(lines[1:], report.records):
-            assert line.split(",")[2] == repr(float(np.hypot(*(pts[rec.i] - pts[rec.j]))))
+            assert line.split(",")[2] == repr(float(dist[rec.i, rec.j]))
 
         cio.write_bound_table_csv(path, report)
         assert {line.split(",")[2] for line in path.read_text().splitlines()[1:]} == {"nan"}

@@ -194,12 +194,11 @@ class TestOptimumProperties:
 
 class TestEpoch:
     def test_zero_change_at_optimum(self):
-        pairs = all_pairs(2)
-        state = init_state(S2, pairs, [2.0 / 3.0], q0=np.array([2 / 3, 2 / 3]), q_min=1e-4)
+        state = init_state(S2, *all_pairs(2), [2.0 / 3.0], q0=np.array([2 / 3, 2 / 3]), q_min=1e-4)
         assert abs(epoch(state)) <= 1e-12
 
     def test_first_epoch_descends(self):
-        state = init_state(S2, all_pairs(2), [0.0], q0=1.0, q_min=1e-4)
+        state = init_state(S2, *all_pairs(2), [0.0], q0=1.0, q_min=1e-4)
         assert epoch(state) < 0
 
     def test_epoch_count_deterministic(self):
@@ -317,7 +316,7 @@ class TestRunRecord:
 class TestInitModes:
     def test_uniform_default_is_one_over_n(self):
         S = kernel_spd_covariance(4, seed=3)
-        state = init_state(S, all_pairs(4), np.full(6, 0.25), q0=1.0, q_min=1e-4)
+        state = init_state(S, *all_pairs(4), np.full(6, 0.25), q0=1.0, q_min=1e-4)
         result = learn_joint(S)  # default uniform init = 1/n = 0.25
         direct = learn_joint(S, LearnConfig(init="uniform", init_value=0.25))
         assert result.objective == direct.objective
@@ -341,16 +340,18 @@ class TestInitModes:
         rng = np.random.default_rng(seed)
         points = rng.random((n, 2))
         points[rng.random(n) < 0.2] = points[0]
-        pairs = [pair for pair in all_pairs(n) if rng.random() < keep]
-        assume(np.any(covgraph.learn.pairwise_distances(points) > 0))
-        expected = kernel_weights_loop(points, pairs)
-        assert covgraph.learn.kernel_weights(points, pairs).tobytes() == expected.tobytes()
+        idx_i, idx_j = all_pairs(n)
+        chosen = rng.random(len(idx_i)) < keep
+        idx_i, idx_j = idx_i[chosen], idx_j[chosen]
+        assume(np.any(covgraph.graphs.pairwise_distances(points) > 0))
+        expected = kernel_weights_loop(points, zip(idx_i, idx_j))
+        assert covgraph.learn.kernel_weights(points, idx_i, idx_j).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("method", ["joint", "baseline"])
     def test_single_vertex_kernel_learn_warns_nothing(self, method):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weights = covgraph.learn.kernel_weights(np.zeros((1, 2)), [])
+            weights = covgraph.learn.kernel_weights(np.zeros((1, 2)), *all_pairs(1))
             config = LearnConfig(method=method, init="kernel", points=np.zeros((1, 2)))
             result = learn(np.array([[2.0]]), config)
         assert weights.shape == (0,) and weights.dtype == float
@@ -549,7 +550,7 @@ class TestOpeningClamp:
         calls = recorded_clamps(monkeypatch)
         sample, S = desk_problem(0, 1.0)
         pairs = all_pairs(50)
-        start = init_state(S, pairs, covgraph.learn.kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+        start = init_state(S, *pairs, covgraph.learn.kernel_weights(sample.points, *pairs), q0=1.0, q_min=1e-4)
         result = learn(S, kernel_config(sample, max_epochs=1))
         assert calls[0][0] == start.objective and calls[0][1] > 0
         # max_epochs = 1 allows one warm epoch after the clamp.

@@ -74,10 +74,10 @@ def has_negative_zero(a):
 def joint_state(S, w0=None, q0=1.0, q_min=1e-4):
     S = as_covariance(S).entries
     n = S.shape[0]
-    pairs = all_pairs(n)
+    idx_i, idx_j = all_pairs(n)
     if w0 is None:
-        w0 = np.zeros(len(pairs))
-    return init_state(S, pairs, w0, q0=q0, q_min=q_min)
+        w0 = np.zeros(len(idx_i))
+    return init_state(S, idx_i, idx_j, w0, q0=q0, q_min=q_min)
 
 
 class TestEdgeCost:
@@ -100,7 +100,7 @@ class TestInitState:
         assert state.objective == pytest.approx(np.trace(S2))
 
     def test_baseline_phi_matches_direct_inversion(self):
-        state = init_state(S2, [(0, 1)], [1.0])
+        state = init_state(S2, [0], [1], [1.0])
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
         oracle = direct_inverse_oracle(L + 0.5)
         np.testing.assert_allclose(state.phi, oracle, atol=1e-12)
@@ -111,13 +111,12 @@ class TestInitState:
         np.linalg.cholesky(np.full((2, 2), 0.5))
         for n in (2, 3):
             with pytest.raises(SingularModelError, match="connected"):
-                init_state(np.eye(n), all_pairs(n), np.zeros(n * (n - 1) // 2))
+                init_state(np.eye(n), *all_pairs(n), np.zeros(n * (n - 1) // 2))
 
     def test_baseline_disconnected_graph_is_singular(self):
         S = kernel_spd_covariance(4, seed=0).entries
-        pairs = [(0, 1), (2, 3)]
         with pytest.raises(SingularModelError):
-            init_state(S, pairs, [1.0, 1.0])
+            init_state(S, [0, 2], [1, 3], [1.0, 1.0])
 
     def test_q0_below_floor_rejected(self):
         with pytest.raises(GraphValidationError, match="q_min"):
@@ -125,7 +124,7 @@ class TestInitState:
 
     def test_negative_initial_weight_rejected(self):
         with pytest.raises(GraphValidationError, match="nonnegative"):
-            init_state(S2, [(0, 1)], [-1.0], q0=1.0, q_min=1e-4)
+            init_state(S2, [0], [1], [-1.0], q0=1.0, q_min=1e-4)
 
     @pytest.mark.parametrize("pairs, message", [
         ([(0, 1), (2, 1), (0, 2)], r"active pair \(2, 1\) must satisfy"),
@@ -138,15 +137,36 @@ class TestInitState:
     ])
     def test_first_offending_pair_is_named(self, pairs, message):
         S = kernel_spd_covariance(3, seed=1)
+        idx_i, idx_j = np.array(pairs).T
         with pytest.raises(GraphValidationError, match=message):
-            init_state(S, pairs, 1.0, q0=1.0, q_min=1e-4)
+            init_state(S, idx_i, idx_j, 1.0, q0=1.0, q_min=1e-4)
+
+    @pytest.mark.parametrize("idx_i, idx_j", [
+        (np.array([0, 1]), np.array([2])),
+        (np.array([0]), np.array([1, 2])),
+        (np.array([[0, 1]]), np.array([[2, 2]])),
+        (np.array([[0], [1]]), np.array([2, 2])),
+        (np.array([0.0, 1.0]), np.array([2.0, 2.0])),
+        (np.array([0, 1]), np.array([2.0, 2.0])),
+        ([], []),
+    ])
+    def test_malformed_endpoint_arrays_rejected(self, idx_i, idx_j):
+        # Mismatched lengths, 2-D and float input (an empty list is float)
+        # each fail by name, not with a broadcast or indexing error further in.
+        S = kernel_spd_covariance(3, seed=1)
+        with pytest.raises(GraphValidationError, match="1-D int arrays of equal length"):
+            init_state(S, idx_i, idx_j, 1.0, q0=1.0, q_min=1e-4)
 
     def test_pairs_are_int_tuples_matching_the_endpoint_arrays(self):
-        pairs = [(np.int64(0), np.int64(2)), (1, 2)]
-        state = init_state(kernel_spd_covariance(3, seed=1), pairs, 1.0, q0=1.0, q_min=1e-4)
+        idx_i, idx_j = np.array([0, 1], dtype=np.int32), np.array([2, 2], dtype=np.uint8)
+        state = init_state(kernel_spd_covariance(3, seed=1), idx_i, idx_j, 1.0, q0=1.0, q_min=1e-4)
         assert state.pairs == [(0, 2), (1, 2)]
         assert all(type(i) is int and type(j) is int for i, j in state.pairs)
         assert state.idx_i.tolist() == [0, 1] and state.idx_j.tolist() == [2, 2]
+        assert state.idx_i.dtype == state.idx_j.dtype == np.dtype(int)
+        # The state keeps its own copies of the endpoint arrays.
+        idx_i[0] = 1
+        assert state.idx_i.tolist() == [0, 1]
 
 
 class TestIsConnected:
@@ -158,10 +178,11 @@ class TestIsConnected:
     )
     def test_matches_search_loop(self, n, density, seed):
         rng = np.random.default_rng(seed)
-        pairs = all_pairs(n)
-        w = np.where(rng.random(len(pairs)) < density, rng.uniform(0.0, 2.0, len(pairs)), 0.0)
-        graph = build_graph(n, [(i, j, we) for (i, j), we in zip(pairs, w)])
-        assert _is_connected(laplacian(graph)) == is_connected_loop(n, pairs, w)
+        idx_i, idx_j = all_pairs(n)
+        m = len(idx_i)
+        w = np.where(rng.random(m) < density, rng.uniform(0.0, 2.0, m), 0.0)
+        graph = build_graph(n, list(zip(idx_i, idx_j, w)))
+        assert _is_connected(laplacian(graph)) == is_connected_loop(n, list(zip(idx_i, idx_j)), w)
 
 
 class TestEdgeUpdate:
@@ -238,7 +259,7 @@ class TestVertexUpdate:
         assert np.max(np.abs(state.phi - direct)) <= 1e-10
 
     def test_rejected_in_baseline_mode(self):
-        state = init_state(S2, [(0, 1)], [1.0])
+        state = init_state(S2, [0], [1], [1.0])
         with pytest.raises(ValueError, match="joint"):
             vertex_update(state, 0)
 
@@ -254,7 +275,7 @@ class TestObjective:
         assert evaluate_objective(state) == pytest.approx(np.log(0.75) + 2.0, abs=1e-12)
 
     def test_baseline_direct_evaluation(self):
-        state = init_state(S2, [(0, 1)], [1.0])
+        state = init_state(S2, [0], [1], [1.0])
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
         theta = L + 0.5
         expected = -np.linalg.slogdet(theta)[1] + np.sum(L * S2)
@@ -270,7 +291,7 @@ class TestRefreshPhi:
         sample = sample_locations(20, seed=8)
         S = variogram_covariance(sample, VariogramSpec(range_=0.2))
         pairs = all_pairs(20)
-        state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+        state = init_state(S, *pairs, kernel_weights(sample.points, *pairs), q0=1.0, q_min=1e-4)
         for _ in range(60):
             epoch(state)
         drift = refresh_phi(state)
@@ -291,13 +312,13 @@ class TestSharedUpdatePath:
         # the same inverse into both states and compare results bitwise.
         S = kernel_spd_covariance(4, seed=21)
         pairs = all_pairs(4)
-        w0 = np.full(len(pairs), 0.25)
-        joint = init_state(S, pairs, w0, q0=1.0, q_min=1e-4)
-        base = init_state(S, pairs, w0)
+        w0 = np.full(6, 0.25)
+        joint = init_state(S, *pairs, w0, q0=1.0, q_min=1e-4)
+        base = init_state(S, *pairs, w0)
         injected = direct_inverse_oracle(joint.model_matrix())
         joint.phi = injected.copy()
         base.phi = injected.copy()
-        for e in range(len(pairs)):
+        for e in range(6):
             upd_j = edge_update(joint, e)
             upd_b = edge_update(base, e)
             assert upd_j.delta == upd_b.delta
@@ -310,7 +331,7 @@ class TestSharedUpdatePath:
         # determinant factor 1 + delta*r below tolerance (effective
         # resistance vastly smaller than the edge cost): the step must be
         # clipped short of the singularity, not crash.
-        state = init_state(S2, [(0, 1)], [1.0])
+        state = init_state(S2, [0], [1], [1.0])
         state.w[0] = 3e12
         state.phi = np.array([[0.5 + 2.5e-13, 0.5], [0.5, 0.5 + 2.5e-13]])
         upd = edge_update(state, 0)
@@ -326,9 +347,9 @@ class TestEpochInvariant:
             S = kernel_spd_covariance(6, seed=seed)
             pairs = all_pairs(6)
             if mode == "joint":
-                state = init_state(S, pairs, np.full(len(pairs), 1 / 6), q0=1.0, q_min=1e-4)
+                state = init_state(S, *pairs, np.full(15, 1 / 6), q0=1.0, q_min=1e-4)
             else:
-                state = init_state(S, pairs, np.full(len(pairs), 1 / 6))
+                state = init_state(S, *pairs, np.full(15, 1 / 6))
             for _ in range(40):
                 epoch(state)
                 ident = state.phi @ state.model_matrix()
@@ -340,7 +361,7 @@ class TestEpochInvariant:
         sample = sample_locations(10, seed=13)
         S = variogram_covariance(sample, VariogramSpec(range_=0.2))
         pairs = all_pairs(10)
-        state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+        state = init_state(S, *pairs, kernel_weights(sample.points, *pairs), q0=1.0, q_min=1e-4)
         for _ in range(100):
             epoch(state)
             direct = direct_inverse_oracle(state.model_matrix())
@@ -349,8 +370,7 @@ class TestEpochInvariant:
     def test_projection_exact_after_every_epoch(self):
         # Clamped arithmetic: bounds hold exactly, never within a tolerance.
         S = kernel_spd_covariance(6, seed=31)
-        pairs = all_pairs(6)
-        state = init_state(S, pairs, np.full(len(pairs), 1 / 6), q0=1.0, q_min=0.05)
+        state = init_state(S, *all_pairs(6), np.full(15, 1 / 6), q0=1.0, q_min=0.05)
         for _ in range(60):
             epoch(state)
             assert np.all(state.w >= 0.0)
@@ -370,7 +390,7 @@ def zero_run_states(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     pairs = all_pairs(n)
-    m = len(pairs)
+    m = len(pairs[0])
     w = np.zeros(m)
     zero = draw(st.booleans())
     start = 0
@@ -383,17 +403,16 @@ def zero_run_states(draw):
         w[start:] = rng.uniform(0.01, 1.0, size=m - start)
     S = kernel_spd_covariance(n, seed=seed)
     if mode == "joint":
-        return init_state(S, pairs, w, q0=1.0, q_min=1e-4)
+        return init_state(S, *pairs, w, q0=1.0, q_min=1e-4)
     return connected_baseline_state(S, pairs, w)
 
 
 def connected_baseline_state(S, pairs, w):
-    """Baseline state with the weights of the pairs (i, n-1) raised to at
-    least 0.05, so that its graph is connected."""
-    for e, (i, j) in enumerate(pairs):
-        if j == S.n - 1:
-            w[e] = max(w[e], 0.05)
-    return init_state(S, pairs, w)
+    """Baseline state on the pair set ``pairs`` with the weights of the
+    pairs (i, n-1) raised to at least 0.05, so that its graph is connected."""
+    last = pairs[1] == S.n - 1
+    w[last] = np.maximum(w[last], 0.05)
+    return init_state(S, *pairs, w)
 
 
 def assert_sweeps_match_loop(state, sweeps=3):
@@ -418,7 +437,7 @@ def near_converged_state(range_=0.1):
     sample = sample_locations(30, seed=1)
     S = variogram_covariance(sample, VariogramSpec(range_=range_))
     pairs = all_pairs(30)
-    state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+    state = init_state(S, *pairs, kernel_weights(sample.points, *pairs), q0=1.0, q_min=1e-4)
     for _ in range(40):
         epoch(state)
     return state
@@ -433,13 +452,12 @@ class TestEdgeSweepMatchesLoop:
     @pytest.mark.parametrize("n", [2, 9, 14])
     def test_all_zero_weights(self, n):
         S = kernel_spd_covariance(n, seed=n)
-        pairs = all_pairs(n)
-        assert_sweeps_match_loop(init_state(S, pairs, 0.0, q0=1.0, q_min=1e-4))
+        assert_sweeps_match_loop(init_state(S, *all_pairs(n), 0.0, q0=1.0, q_min=1e-4))
 
     def test_no_active_pairs(self):
         S = kernel_spd_covariance(4, seed=2)
-        assert_sweeps_match_loop(init_state(S, [], [], q0=1.0, q_min=1e-4))
-        assert_sweeps_match_loop(init_state(S.entries[:1, :1], [], []))
+        assert_sweeps_match_loop(init_state(S, *all_pairs(1), [], q0=1.0, q_min=1e-4))
+        assert_sweeps_match_loop(init_state(S.entries[:1, :1], *all_pairs(1), []))
 
     @pytest.mark.parametrize("range_", [0.1, 1.0])
     def test_near_converged_state(self, range_):
@@ -450,7 +468,7 @@ class TestEdgeSweepMatchesLoop:
     def test_nan_step_in_a_long_run_is_applied(self):
         # A NaN step is not "<= -0.0": the loop applies it, and so must the scan.
         n = 12
-        state = init_state(kernel_spd_covariance(n, seed=5), all_pairs(n), 0.0, q0=1.0, q_min=1e-4)
+        state = init_state(kernel_spd_covariance(n, seed=5), *all_pairs(n), 0.0, q0=1.0, q_min=1e-4)
         e = 3 * _MIN_SCAN_RUN // 2
         i, j = state.pairs[e]
         state.phi[i, j] = state.phi[j, i] = np.nan
@@ -463,14 +481,14 @@ class TestEdgeSweepMatchesLoop:
         n = 12
         w = np.zeros(66)
         w[[20, 21, 22, 40]] = 0.3
-        state = init_state(kernel_spd_covariance(n, seed=5), all_pairs(n), w, q0=1.0, q_min=1e-4)
+        state = init_state(kernel_spd_covariance(n, seed=5), *all_pairs(n), w, q0=1.0, q_min=1e-4)
         i, j = state.pairs[12]
         state.phi[i, j] = state.phi[j, i] = np.nan
         assert_sweeps_match_loop(state, sweeps=1)
         assert np.isnan(state.w[13:]).all()
 
     def test_baseline_singularity_clip(self):
-        state = init_state(S2, [(0, 1)], [1.0])
+        state = init_state(S2, [0], [1], [1.0])
         state.w[0] = 3e12
         state.phi = np.array([[0.5 + 2.5e-13, 0.5], [0.5, 0.5 + 2.5e-13]])
         assert_sweeps_match_loop(state, sweeps=1)
@@ -490,12 +508,12 @@ def disconnected_state(n=101):
     update has zero entries beside entries of both signs and some products
     v_a * v_b are -0.0."""
     block = np.arange(n) * 2 // (n - 1)
-    pairs = all_pairs(n)
+    idx_i, idx_j = all_pairs(n)
     rng = np.random.default_rng(7)
     w = np.array([
-        rng.uniform(0.001, 0.05) if block[i] == block[j] < 2 else 0.0 for i, j in pairs
+        rng.uniform(0.001, 0.05) if block[i] == block[j] < 2 else 0.0 for i, j in zip(idx_i, idx_j)
     ])
-    state = init_state(kernel_spd_covariance(n, seed=7), pairs, w, q0=0.01, q_min=1e-4)
+    state = init_state(kernel_spd_covariance(n, seed=7), idx_i, idx_j, w, q0=0.01, q_min=1e-4)
     assert np.count_nonzero(state.phi == 0.0) > 0
     return state
 
@@ -525,13 +543,14 @@ def random_states(draw, modes=("joint", "baseline"), max_n=10):
     density = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(seed)
     pairs = all_pairs(n)
-    w = np.where(rng.random(len(pairs)) < density, rng.uniform(0.01, 1.0, len(pairs)), 0.0)
+    m = len(pairs[0])
+    w = np.where(rng.random(m) < density, rng.uniform(0.01, 1.0, m), 0.0)
     S = kernel_spd_covariance(n, seed=seed)
     if mode == "baseline":
         return connected_baseline_state(S, pairs, w)
     q_min = draw(st.sampled_from([1e-4, 0.02, 0.5]))
     q0 = q_min + np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 2.0, n))
-    return init_state(S, pairs, w, q0=q0, q_min=q_min)
+    return init_state(S, *pairs, w, q0=q0, q_min=q_min)
 
 
 def assert_vertex_sweeps_match_loop(state, sweeps=3):
@@ -565,7 +584,7 @@ class TestVertexSweepMatchesLoop:
         # starts above the floor and moves down to it.
         q0 = np.ones(5)
         q0[3] = 2.0
-        state = init_state(np.eye(5), [], [], q0=q0, q_min=1.0)
+        state = init_state(np.eye(5), *all_pairs(1), [], q0=q0, q_min=1.0)
         assert_vertex_sweeps_match_loop(state, sweeps=1)
         assert state.q.tobytes() == np.ones(5).tobytes()
 
@@ -714,7 +733,7 @@ class TestClampStep:
         sample = sample_locations(30, seed=1)
         S = variogram_covariance(sample, VariogramSpec(range_=1.0))
         pairs = all_pairs(30)
-        state = init_state(S, pairs, kernel_weights(sample.points, pairs), q0=1.0, q_min=1e-4)
+        state = init_state(S, *pairs, kernel_weights(sample.points, *pairs), q0=1.0, q_min=1e-4)
         before, w, q = state.objective, state.w.copy(), state.q.copy()
         clamps = predicted_clamps(state)
         assert clamps.sum() > state.m // 2
@@ -751,8 +770,9 @@ class TestClampStep:
         block = np.arange(8) // 4
         S = np.where(block[:, None] == block[None, :], 0.99, 0.8)
         np.fill_diagonal(S, 1.0)
-        w = [1.0 if block[i] == block[j] else 0.5 for i, j in all_pairs(8)]
-        state = init_state(S, all_pairs(8), w, q0=1.0, q_min=1e-4)
+        idx_i, idx_j = all_pairs(8)
+        w = np.where(block[idx_i] == block[idx_j], 1.0, 0.5)
+        state = init_state(S, idx_i, idx_j, w, q0=1.0, q_min=1e-4)
         clamps = predicted_clamps(state)
         assert clamps.sum() == 16
         trial = state.w.copy()
@@ -767,7 +787,7 @@ class TestClampStep:
         # The four cross edges of two weakly coupled pairs all clamp, and
         # without them L + J/n is singular.
         S = 10.0 * np.array([[1, 0.99, 0, 0], [0.99, 1, 0, 0], [0, 0, 1, 0.99], [0, 0, 0.99, 1]])
-        state = init_state(S, all_pairs(4), np.ones(6))
+        state = init_state(S, *all_pairs(4), np.ones(6))
         assert predicted_clamps(state).tolist() == [False, True, True, True, True, False]
         before = state_bytes(state)
         assert clamp_step(state) == 0
@@ -856,11 +876,11 @@ class TestBatchedUpdates:
         S = np.eye(n)
         S[0, 1:8] = S[1:8, 0] = 0.3
         S[n - 2, n - 1] = S[n - 1, n - 2] = 0.9
-        pairs = all_pairs(n)
-        w0 = np.zeros(len(pairs))
+        m = n * (n - 1) // 2
+        w0 = np.zeros(m)
         w0[:7] = 0.01
         with batched_path(size=8):
-            state = init_state(S, pairs, w0, q0=1.0, q_min=1e-4)
+            state = init_state(S, *all_pairs(n), w0, q0=1.0, q_min=1e-4)
         calls = []
 
         def recording(M, idx_i, idx_j):
@@ -875,7 +895,7 @@ class TestBatchedUpdates:
         # _MIN_SCAN_RUN, and the cap cuts it.
         cap = n * n // 7
         expected = []
-        piece, left = _FIRST_PIECE, len(pairs) - 7
+        piece, left = _FIRST_PIECE, m - 7
         while left >= _MIN_SCAN_RUN:
             expected.append(min(piece if left >= piece + _MIN_SCAN_RUN else left, cap))
             left -= expected[-1]
@@ -883,4 +903,4 @@ class TestBatchedUpdates:
         assert lengths == expected
         assert _FIRST_PIECE * _PIECE_GROWTH in lengths and cap in lengths
         assert max(lengths) <= cap
-        assert np.flatnonzero(state.w).tolist() == [0, 1, 2, 3, 4, 5, 6, len(pairs) - 1]
+        assert np.flatnonzero(state.w).tolist() == [0, 1, 2, 3, 4, 5, 6, m - 1]

@@ -1,6 +1,7 @@
 """Tests of the paired-benchmark summary in ``tools/bench_pairs.py``, on
 fixed numbers worked out by hand, and of its in-process alternation on tiny
 problems."""
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -95,6 +96,40 @@ def test_in_process_alternates_two_imports_of_the_tree():
     assert row["ratio"]["median"] == bench_pairs.quartiles([c / p for p, c in zip(parent, change)])[1]
     assert row["change_wins"] == sum(c < p for p, c in zip(parent, change))
     assert row["rounds"] == 3
+    # Two imports of one tree learn the same bytes.
+    assert measured["identical"] == {"tiny": [True, True]}
+    assert row["identical"] == row["problems"] == 2
+
+
+class _Perturbed:
+    """A package whose learns of the problem with covariance ``S[0, 1] ==
+    first`` report an objective one ulp higher from round ``from_call`` on."""
+
+    def __init__(self, package, first, from_call):
+        self._package, self._first, self._from_call, self._calls = package, first, from_call, 0
+
+    def __getattr__(self, name):
+        return getattr(self._package, name)
+
+    def learn_joint(self, S, config):
+        result = self._package.learn_joint(S, config)
+        if S[0, 1] == self._first:
+            self._calls += 1
+            if self._calls > self._from_call:
+                return dataclasses.replace(result, objective=np.nextafter(result.objective, np.inf))
+        return result
+
+
+@pytest.mark.parametrize("from_call", [0, 1])
+def test_in_process_flags_a_problem_whose_outputs_differ(from_call):
+    packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_flag")
+                for side in bench_pairs.SIDES}
+    S, _ = bench_pairs.problem_inputs(packages["change"], TINY[1:])[0]
+    packages["change"] = _Perturbed(packages["change"], S[0, 1], from_call)
+    # A difference in any round, the first or a later one, marks the problem.
+    measured = bench_pairs.in_process(packages, {"tiny": TINY}, rounds=2)
+    assert measured["identical"] == {"tiny": [True, False]}
+    assert measured["summary"]["tiny"]["identical"] == 1
 
 
 def test_in_process_run_keeps_the_other_keys_of_the_file(tmp_path, monkeypatch):
@@ -113,3 +148,4 @@ def test_in_process_run_keeps_the_other_keys_of_the_file(tmp_path, monkeypatch):
     assert set(record["in_process"]["summary"]) == {"desk", "large"}
     assert len(record["in_process"]["rounds"]["change"]["large"]) == 2
     assert "OPENBLAS_NUM_THREADS=1" in record["in_process"]["environment"]
+    assert record["in_process"]["identical"] == {"desk": [True, True], "large": [True]}

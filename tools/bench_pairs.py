@@ -40,7 +40,11 @@ unless ``OPENBLAS_NUM_THREADS`` says otherwise. The times go under the key
 ``in_process`` of ``--out``, and the file's other keys are kept, so one
 file holds both sets. The summary gives, per problem set, each side's
 median, quartiles and minimum, the rounds the change wins and the
-quartiles of the per-round ratio change / parent.
+quartiles of the per-round ratio change / parent. Outside the timed
+region the run also compares the two sides' outputs, problem by problem:
+``identical`` holds, per problem set, whether ``graph.edges``, the bytes
+of ``graph.q``, ``repr(objective)``, ``history`` and ``epochs_run`` were
+byte-identical on both sides in every round, and the summary counts them.
 """
 from __future__ import annotations
 
@@ -165,13 +169,20 @@ def problem_inputs(package, problems):
 
 
 def timed_learns(package, inputs):
-    """(seconds, unconverged runs) of one default joint learn per input."""
-    unconverged = 0
+    """(seconds, results) of one default joint learn per input."""
+    results = []
     start = time.perf_counter()
     for S, points in inputs:
-        result = package.learn_joint(S, package.LearnConfig(init="kernel", points=points))
-        unconverged += not result.converged
-    return time.perf_counter() - start, unconverged
+        results.append(package.learn_joint(S, package.LearnConfig(init="kernel", points=points)))
+    return time.perf_counter() - start, results
+
+
+def output_digest(result):
+    """What two trees must agree on byte for byte: the learned edges, the
+    bytes of the importances, the objective, its history and the epochs."""
+    q = result.graph.q
+    return (repr(result.graph.edges), None if q is None else q.tobytes(),
+            repr(result.objective), repr(result.history), result.epochs_run)
 
 
 def in_process(packages, problem_sets, rounds):
@@ -180,17 +191,25 @@ def in_process(packages, problem_sets, rounds):
     ``packages`` maps each side of ``SIDES`` to its imported package and
     ``problem_sets`` a set name to its (n, trial, range) problems. Round k
     runs every set on both sides, the parent first in even rounds. Returns
-    the per-round times, the unconverged counts and the summary."""
+    the per-round times, the unconverged counts, whether each problem's
+    outputs were byte-identical on both sides in every round, and the
+    summary."""
     inputs = {name: problem_inputs(packages["change"], problems)
               for name, problems in problem_sets.items()}
     times = {side: {name: [] for name in problem_sets} for side in SIDES}
     unconverged = {side: 0 for side in SIDES}
+    identical = {name: [True] * len(problems) for name, problems in problem_sets.items()}
     for k in range(rounds):
+        digests = {}
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
             for name in problem_sets:
-                seconds, failed = timed_learns(packages[side], inputs[name])
+                seconds, results = timed_learns(packages[side], inputs[name])
                 times[side][name].append(seconds)
-                unconverged[side] += failed
+                unconverged[side] += sum(not result.converged for result in results)
+                digests[side, name] = [output_digest(result) for result in results]
+        for name in problem_sets:
+            pairs = zip(identical[name], digests["parent", name], digests["change", name])
+            identical[name] = [same and parent == change for same, parent, change in pairs]
     summary = {}
     for name in problem_sets:
         parent, change = times["parent"][name], times["change"][name]
@@ -202,8 +221,10 @@ def in_process(packages, problem_sets, rounds):
             "ratio": {"median": rm, "q1": r1, "q3": r3},
             "change_wins": sum(1 for p, c in zip(parent, change) if c < p),
             "rounds": rounds,
+            "identical": sum(identical[name]),
+            "problems": len(identical[name]),
         }
-    return {"rounds": times, "unconverged": unconverged, "summary": summary}
+    return {"rounds": times, "unconverged": unconverged, "identical": identical, "summary": summary}
 
 
 def main(argv=None):
@@ -300,7 +321,8 @@ def main_in_process(args):
                    "and side the total learn time of the 35 joint desk specs (n=50, trials 0-6 "
                    "x ranges 0.01, 0.02, 0.1, 0.2, 1, kernel start, default protocol) and of one "
                    "joint-large learn (n=200, trial 0, r=1), on the same inputs; even rounds run "
-                   "the parent first; quartiles by linear interpolation; seconds"),
+                   "the parent first; quartiles by linear interpolation; seconds; outputs "
+                   "compared per problem outside the timed region"),
         "environment": (f"python {sys.version.split()[0]}, numpy {version('numpy')}, "
                         f"{os.cpu_count()} CPUs, OPENBLAS_NUM_THREADS="
                         f"{os.environ['OPENBLAS_NUM_THREADS']}"),
@@ -309,7 +331,8 @@ def main_in_process(args):
     out.write_text(json.dumps(record, indent=1) + "\n")
     for name, row in measured["summary"].items():
         print(f"{name}: parent {row['parent']['median']:.4g} s, change {row['change']['median']:.4g} s, "
-              f"change wins {row['change_wins']} of {row['rounds']}", file=sys.stderr)
+              f"change wins {row['change_wins']} of {row['rounds']}, "
+              f"{row['identical']} of {row['problems']} outputs identical", file=sys.stderr)
     return 0
 
 
