@@ -113,7 +113,7 @@ def compute_metrics(result, method=None, r=None) -> MetricsRow:
     if n < 2:
         raise GraphValidationError(f"metrics need at least 2 vertices, got {n}")
     total_pairs = n * (n - 1) // 2
-    present = sum(1 for _, _, w in graph.edges if w > EDGE_PRESENCE_TOL)
+    present = int(np.count_nonzero(graph.w > EDGE_PRESENCE_TOL))
     epsilon_w = 1.0 - present / total_pairs
 
     u_q = None

@@ -1,9 +1,10 @@
 """Core graph containers and Laplacian algebra.
 
-A graph is stored as a sorted tuple of weighted undirected edges (i < j)
-together with an optional vector of positive vertex importances. Dense
-matrices are materialized on demand: problem sizes stay in the hundreds of
-vertices, so plain ``numpy`` arrays beat any sparse machinery here.
+A graph is stored as a pair set (endpoint arrays, i < j, sorted) with
+positive edge weights and an optional vector of positive vertex
+importances. Dense matrices are materialized on demand: problem sizes stay
+in the hundreds of vertices, so plain ``numpy`` arrays beat any sparse
+machinery here.
 """
 from __future__ import annotations
 
@@ -26,68 +27,78 @@ def _frozen_array(values, dtype=float):
 class Graph:
     """Weighted undirected graph with optional vertex importances.
 
-    ``edges`` is canonical: sorted by (i, j) with i < j and strictly
-    positive weights (a zero weight means "no edge" and is never stored).
-    ``q`` holds one positive importance per vertex, each at least
-    ``q_min``; both are ``None`` for graphs learned without importances.
-    Instances are immutable and safe to share across threads.
+    ``(idx_i, idx_j)`` is the pair set of the edges in the form of
+    :func:`all_pairs` and ``w`` their strictly positive weights (a zero
+    weight means "no edge" and is never stored). ``q`` holds one importance
+    per vertex, each at least ``q_min``; both are ``None`` for graphs
+    learned without importances. Instances and their arrays are immutable;
+    :func:`build_graph` makes them.
     """
 
     n: int
-    edges: tuple
+    idx_i: np.ndarray
+    idx_j: np.ndarray
+    w: np.ndarray
     q: np.ndarray | None
     q_min: float | None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.w)
 
-    def pair_arrays(self):
-        """Endpoints of the stored edges as a pair set, the form of :func:`all_pairs`."""
-        idx_i = np.fromiter((i for i, _, _ in self.edges), int, self.m)
-        idx_j = np.fromiter((j for _, j, _ in self.edges), int, self.m)
-        return idx_i, idx_j
+    @property
+    def edges(self) -> tuple:
+        """The edges as a sorted tuple of Python ``(i, j, w)`` triples."""
+        return tuple(zip(self.idx_i.tolist(), self.idx_j.tolist(), self.w.tolist()))
 
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, _, w in self.edges], dtype=float)
+
+# Per-edge faults in the order they are checked, each with its message.
+_EDGE_FAULTS = (
+    "edge ({i}, {j}) has a non-integer endpoint",
+    "self-loop at vertex {i} is not allowed",
+    "edge ({i}, {j}) has an index outside 0..{last}",
+    "edge ({i}, {j}) has non-finite weight {w!r}",
+    "edge ({i}, {j}) has negative weight {w}",
+)
 
 
 def build_graph(n, edges, q=None, q_min=None) -> Graph:
     """Validate and canonicalize raw edge data into a :class:`Graph`.
 
-    Edges may be given in either endpoint order; they are flipped to i < j
-    and sorted. Zero-weight edges are dropped. Each malformed input is
-    rejected with its own :class:`GraphValidationError` message: self-loop,
-    out-of-range index, negative weight, duplicate edge, importance below
-    the floor.
+    ``edges`` is a sequence of (i, j, w) triples, an (m, 3) array included,
+    in either endpoint order; they are flipped to i < j and sorted, and
+    zero weights dropped. A :class:`GraphValidationError` names the first
+    edge in input order with a non-integer endpoint, a self-loop, an
+    out-of-range index, a non-finite or a negative weight (checked in that
+    order), then the first duplicate, then an importance below the floor.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise GraphValidationError(f"vertex count must be a positive integer, got {n!r}")
     n = int(n)
 
-    canonical = []
-    for edge in edges:
-        i, j, w = edge
-        i, j, w = int(i), int(j), float(w)
-        if i == j:
-            raise GraphValidationError(f"self-loop at vertex {i} is not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphValidationError(f"edge ({i}, {j}) has an index outside 0..{n - 1}")
-        if not np.isfinite(w):
-            raise GraphValidationError(f"edge ({i}, {j}) has non-finite weight {w!r}")
-        if w < 0:
-            raise GraphValidationError(f"edge ({i}, {j}) has negative weight {w}")
-        if i > j:
-            i, j = j, i
-        canonical.append((i, j, w))
+    rows = np.asarray(edges, dtype=float)
+    rows = rows.reshape(0, 3) if rows.size == 0 else rows
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise GraphValidationError(f"edges must be (i, j, w) triples, got shape {rows.shape}")
+    ends, w = rows[:, :2], rows[:, 2]
+    i, j = ends.T
+    whole = np.isfinite(ends) & (ends == np.trunc(ends))
+    inside = (0 <= ends) & (ends < n)
+    faults = np.column_stack([~whole.all(axis=1), i == j, ~inside.all(axis=1), ~np.isfinite(w), w < 0])
+    if faults.any():
+        k, fault = np.argwhere(faults)[0]
+        end = float if fault == 0 else int
+        message = _EDGE_FAULTS[fault].format(i=end(i[k]), j=end(j[k]), w=float(w[k]), last=n - 1)
+        raise GraphValidationError(message)
 
-    seen = set()
-    for i, j, _ in canonical:
-        if (i, j) in seen:
-            raise GraphValidationError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-
-    kept = tuple(sorted((i, j, w) for i, j, w in canonical if w > 0))
+    lo, hi = np.minimum(i, j).astype(int), np.maximum(i, j).astype(int)
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        k = repeats.min()
+        raise GraphValidationError(f"duplicate edge ({lo[k]}, {hi[k]})")
+    order = order[w[order] > 0]
 
     if (q is None) != (q_min is None):
         raise GraphValidationError("q and q_min must be provided together or both omitted")
@@ -102,12 +113,11 @@ def build_graph(n, edges, q=None, q_min=None) -> Graph:
             raise GraphValidationError("q contains non-finite entries")
         if np.any(q < q_min):
             bad = int(np.argmin(q))
-            raise GraphValidationError(
-                f"importance q[{bad}]={q[bad]} is below the floor q_min={q_min}"
-            )
+            raise GraphValidationError(f"importance q[{bad}]={q[bad]} is below the floor q_min={q_min}")
         q = _frozen_array(q)
 
-    return Graph(n=n, edges=kept, q=q, q_min=q_min)
+    idx_i, idx_j, w = _frozen_array(lo[order], int), _frozen_array(hi[order], int), _frozen_array(w[order])
+    return Graph(n=n, idx_i=idx_i, idx_j=idx_j, w=w, q=q, q_min=q_min)
 
 
 def laplacian_from_pairs(n, idx_i, idx_j, w) -> np.ndarray:
@@ -133,8 +143,7 @@ def laplacian_from_pairs(n, idx_i, idx_j, w) -> np.ndarray:
 
 def laplacian(graph: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian (degree matrix minus adjacency)."""
-    idx_i, idx_j = graph.pair_arrays()
-    return laplacian_from_pairs(graph.n, idx_i, idx_j, graph.weights())
+    return laplacian_from_pairs(graph.n, graph.idx_i, graph.idx_j, graph.w)
 
 
 def incidence_vector(n, i, j) -> np.ndarray:

@@ -282,15 +282,20 @@ def _initial_weights(n, idx_i, idx_j, config: LearnConfig) -> np.ndarray:
             )
         return kernel_weights(points, idx_i, idx_j)
     # given
-    if config.init_weights is None:
+    given = config.init_weights
+    if given is None:
         raise GraphValidationError("init='given' requires init_weights")
-    active = set(zip(idx_i.tolist(), idx_j.tolist()))
-    for key in config.init_weights:
-        i, j = key
-        if (int(i), int(j)) not in active:
-            raise GraphValidationError(f"init weight for inactive pair {key!r}")
-    pairs = zip(idx_i.tolist(), idx_j.tolist())
-    return np.array([float(config.init_weights.get(pair, 0.0)) for pair in pairs])
+    ends = np.array(list(given), dtype=float).reshape(len(given), 2)
+    inside = np.all((0 <= ends) & (ends < n), axis=1)
+    graph = build_graph(n, np.column_stack((ends, list(given.values())))[inside])
+    active, keys = idx_i * n + idx_j, graph.idx_i * n + graph.idx_j
+    listed = np.isin(keys, active)
+    if not (inside.all() and listed.all()):
+        key = graph.edges[np.argmin(listed)][:2] if inside.all() else list(given)[np.argmin(inside)]
+        raise GraphValidationError(f"init weight for inactive pair {key!r}")
+    w0 = np.zeros(len(idx_i))
+    w0[np.searchsorted(active, keys)] = graph.w
+    return w0
 
 
 def _paper_run(state: SolverState, config: LearnConfig):
@@ -371,12 +376,8 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
     history, converged, drift, (kkt_residual, duality_gap) = _RUNS[config.protocol](state, config)
     wall = time.perf_counter() - start
 
-    graph = build_graph(
-        cov.n,
-        [(i, j, w) for (i, j), w in zip(state.pairs, state.w) if w > 0],
-        q=state.q,
-        q_min=state.q_min,
-    )
+    edges = np.column_stack((state.idx_i, state.idx_j, state.w))[state.w > 0]
+    graph = build_graph(cov.n, edges, q=state.q, q_min=state.q_min)
     return LearnResult(
         graph=graph,
         objective=state.objective,

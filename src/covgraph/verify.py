@@ -77,18 +77,17 @@ def edge_weight_bound(S, i, j) -> float:
     Equals rho^2 / ((1 - rho^2) |S_ij|) with rho the correlation of the
     pair; zero when S_ij = 0, and NaN (inapplicable) when |rho| >= 1.
     """
-    return _correlation_bound(as_covariance(S).entries, i, j)[1]
+    return float(_correlation_bound(as_covariance(S).entries, i, j)[1])
 
 
 def _correlation_bound(S, i, j):
-    """(rho, bound) of the pair (i, j) in a validated covariance array."""
+    """(rho, bound) of the pairs (i, j), scalars or arrays of endpoints, in a
+    validated covariance array."""
     sij = S[i, j]
-    rho = sij / math.sqrt(S[i, i] * S[j, j])
-    if sij == 0.0:
-        return rho, 0.0
-    if abs(rho) >= 1.0:
-        return rho, math.nan
-    return rho, rho * rho / ((1.0 - rho * rho) * abs(sij))
+    rho = sij / np.sqrt(S[i, i] * S[j, j])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = rho * rho / ((1.0 - rho * rho) * np.abs(sij))
+    return rho, np.where(sij == 0.0, 0.0, np.where(np.abs(rho) >= 1.0, np.nan, bound))
 
 
 def variogram_edge_bound(d, r, sill=10.0):
@@ -126,37 +125,25 @@ def _graph_of(result_or_graph):
     return getattr(result_or_graph, "graph", result_or_graph)
 
 
-def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
-    """Check every stored edge of a joint result against its weight bound."""
-    graph = _graph_of(result_or_graph)
+def _bound_columns(graph, S, tol):
+    """Arrays i, j, w, rho, bound, applicable, violated and excess over the
+    stored edges of a joint graph, the fields of :class:`EdgeBoundRecord`."""
     if graph.q is None:
         raise ValueError("bound report requires a graph with vertex importances")
-    S = as_covariance(S).entries
     free = above_floor(graph.q, graph.q_min)
-    records = []
-    for i, j, w in graph.edges:
-        rho, bound = _correlation_bound(S, i, j)
-        applicable = bool(free[i] and free[j]) and not math.isnan(bound)
-        violated = bool(applicable and w > bound + tol)
-        records.append(
-            EdgeBoundRecord(
-                i=int(i),
-                j=int(j),
-                w=float(w),
-                rho=float(rho),
-                bound=float(bound),
-                applicable=applicable,
-                violated=violated,
-                excess=float(w - bound) if violated else 0.0,
-            )
-        )
-    return BoundReport(
-        tol=tol,
-        records=records,
-        n_edges=len(records),
-        n_applicable=sum(rec.applicable for rec in records),
-        n_violated=sum(rec.violated for rec in records),
-    )
+    i, j, w = graph.idx_i, graph.idx_j, graph.w
+    rho, bound = _correlation_bound(S, i, j)
+    applicable = free[i] & free[j] & ~np.isnan(bound)
+    violated = applicable & (w > bound + tol)
+    return i, j, w, rho, bound, applicable, violated, np.where(violated, w - bound, 0.0)
+
+
+def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
+    """Check every stored edge of a joint result against its weight bound."""
+    columns = _bound_columns(_graph_of(result_or_graph), as_covariance(S).entries, tol)
+    records = [EdgeBoundRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    n_applicable, n_violated = (int(np.count_nonzero(c)) for c in columns[5:7])
+    return BoundReport(tol, records, len(records), n_applicable, n_violated)
 
 
 def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
@@ -199,22 +186,23 @@ def trim_violations(result, S, tol=1e-8):
     """Zero out bound-violating edges of a joint result.
 
     Returns ``(trimmed_result, n_trimmed)``; the trimmed result carries a
-    recomputed objective. With no violations the result graph is returned
-    unchanged, so the operation is idempotent.
+    recomputed objective, and its ``kkt_residual`` and ``duality_gap`` are
+    NaN (not computed), since the run's certificate was for the untrimmed
+    graph; :func:`kkt_report` checks the trimmed one. With no violations the
+    result is returned unchanged, so the operation is idempotent.
     """
     S = as_covariance(S).entries
-    report = bound_report(result, S, tol=tol)
     graph = _graph_of(result)
-    if report.n_violated == 0:
+    violated = _bound_columns(graph, S, tol)[6]
+    n_violated = int(np.count_nonzero(violated))
+    if n_violated == 0:
         return result, 0
 
-    keep = [
-        (rec.i, rec.j, rec.w) for rec in report.records if not rec.violated
-    ]
-    trimmed = build_graph(graph.n, keep, q=graph.q, q_min=graph.q_min)
+    edges = np.column_stack((graph.idx_i, graph.idx_j, graph.w))[~violated]
+    trimmed = build_graph(graph.n, edges, q=graph.q, q_min=graph.q_min)
     if not hasattr(result, "graph"):
         # Bare Graph in, bare Graph out.
-        return trimmed, report.n_violated
+        return trimmed, n_violated
     objective = model_objective(laplacian(trimmed), trimmed.q, S)
-    new_result = dataclasses.replace(result, graph=trimmed, objective=objective)
-    return new_result, report.n_violated
+    uncertified = {"kkt_residual": math.nan, "duality_gap": math.nan}
+    return dataclasses.replace(result, graph=trimmed, objective=objective, **uncertified), n_violated

@@ -7,7 +7,9 @@ backtracking safeguard. The loop references (Laplacian assembly, KKT
 residuals, screening, the edge sweep) visit one pair at a time in sorted
 order, and the vertex sweep one vertex at a time in index order, with the
 same arithmetic as the package's vectorized code, so the two agree bit for
-bit; connectivity is a depth-first search over adjacency lists. Agreement between these and the package is the point of the tests,
+bit; graph building checks one edge at a time in input order, and
+connectivity is a depth-first search over adjacency lists. Agreement
+between these and the package is the point of the tests,
 so keep them independent.
 """
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import log1p
 import numpy as np
 import scipy.linalg
 
+from covgraph.graphs import GraphValidationError
 from covgraph.solver import BASELINE_SINGULARITY_TOL
 
 
@@ -231,6 +234,59 @@ def kernel_weights_loop(points, pairs):
 
     sigma = float(np.mean([dist(i, j) for i in range(n) for j in range(i + 1, n)])) / 3.0
     return np.array([np.exp(-dist(i, j) ** 2 / (2.0 * sigma**2)) for i, j in pairs])
+
+
+def build_graph_loop(n, edges, q=None, q_min=None):
+    """``(edges, q)`` of ``build_graph`` by its reference loop, one edge at a
+    time: endpoints truncated to int, each edge checked for a self-loop, an
+    index outside 0..n-1, a non-finite and a negative weight, then the
+    canonical pairs for a duplicate; zero weights dropped and the rest
+    sorted as Python ``(i, j, w)`` tuples."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise GraphValidationError(f"vertex count must be a positive integer, got {n!r}")
+    n = int(n)
+
+    canonical = []
+    for edge in edges:
+        i, j, w = edge
+        i, j, w = int(i), int(j), float(w)
+        if i == j:
+            raise GraphValidationError(f"self-loop at vertex {i} is not allowed")
+        if not (0 <= i < n and 0 <= j < n):
+            raise GraphValidationError(f"edge ({i}, {j}) has an index outside 0..{n - 1}")
+        if not np.isfinite(w):
+            raise GraphValidationError(f"edge ({i}, {j}) has non-finite weight {w!r}")
+        if w < 0:
+            raise GraphValidationError(f"edge ({i}, {j}) has negative weight {w}")
+        if i > j:
+            i, j = j, i
+        canonical.append((i, j, w))
+
+    seen = set()
+    for i, j, _ in canonical:
+        if (i, j) in seen:
+            raise GraphValidationError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+
+    kept = tuple(sorted((i, j, w) for i, j, w in canonical if w > 0))
+
+    if (q is None) != (q_min is None):
+        raise GraphValidationError("q and q_min must be provided together or both omitted")
+    if q is not None:
+        q_min = float(q_min)
+        if not np.isfinite(q_min) or q_min <= 0:
+            raise GraphValidationError(f"q_min must be a positive real, got {q_min!r}")
+        q = np.asarray(q, dtype=float)
+        if q.shape != (n,):
+            raise GraphValidationError(f"q must have length {n}, got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            raise GraphValidationError("q contains non-finite entries")
+        if np.any(q < q_min):
+            bad = int(np.argmin(q))
+            raise GraphValidationError(
+                f"importance q[{bad}]={q[bad]} is below the floor q_min={q_min}"
+            )
+    return kept, q
 
 
 def screen_pairs_loop(S):

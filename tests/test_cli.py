@@ -234,6 +234,18 @@ class TestVerify:
         assert f"{rows} locations for a 12-vertex covariance" in capsys.readouterr().err
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("endpoint", [1.9, 0.5])
+    def test_non_integer_endpoint_exits_one(self, tmp_path, learned, capsys, endpoint):
+        # 1.9 was once truncated to 1, loading a different graph.
+        cov, graph_path = learned
+        data = json.loads(graph_path.read_text())
+        data["edges"][0]["i"] = endpoint
+        graph_path.write_text(json.dumps(data))
+        kkt_path = tmp_path / "kkt.json"
+        assert run("verify", "--graph", str(graph_path), "--cov", str(cov), "--out-kkt", str(kkt_path)) == 1
+        assert "non-integer endpoint" in capsys.readouterr().err
+        assert not kkt_path.exists()
+
     def test_degenerate_covariance_exits_one(self, tmp_path, capsys):
         # Vertices 0 and 1 are perfectly correlated: their edge cost is 0.
         cov = tmp_path / "cov.csv"

@@ -1,4 +1,6 @@
 """Graph container, validation, and Laplacian algebra tests."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from covgraph import (
 )
 from covgraph.graphs import laplacian_from_pairs
 from _support import assert_pair_set
-from oracles import assemble_model_matrix, laplacian_add_at
+from oracles import assemble_model_matrix, build_graph_loop, laplacian_add_at
 
 
 @st.composite
@@ -29,6 +31,44 @@ def sorted_weighted_pairs(draw, max_n=12):
     weight = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False)
     w = draw(st.lists(weight, min_size=int(keep.sum()), max_size=int(keep.sum())))
     return n, (idx_i[keep], idx_j[keep]), w
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """(n, edges, q): an edge list mixing flipped, zero, duplicate,
+    self-loop, out-of-range, negative and non-finite entries, now and then
+    a non-integer endpoint, as tuples or as an (m, 3) array; and a q of
+    importances against the floor 0.01, or None."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda p: (p[0], (p[0] + p[1]) % n))
+    weight = st.one_of(st.just(0.0), st.floats(1e-300, 1e6))
+    edge = st.builds(lambda p, w: (*p, w), pair, weight)
+    if draw(st.booleans()):
+        endpoint = st.one_of(
+            st.integers(-2, n + 1),
+            st.integers(0, n - 1).map(float),
+            st.sampled_from([0.5, 1.9, -0.5, np.nan, np.inf, -np.inf]),
+        )
+        weight = st.sampled_from([0.0, -0.0, -1.5, np.nan, np.inf, -np.inf, 2.5])
+        edge = st.one_of(edge, edge, st.tuples(endpoint, endpoint, weight))
+    edges = draw(st.lists(edge, max_size=10))
+    if edges and draw(st.booleans()):
+        edges = np.array(edges, dtype=float)
+    q = draw(st.one_of(st.none(), st.lists(st.floats(0.005, 2.0), min_size=n, max_size=n)))
+    return n, edges, q
+
+
+def _built(build, n, edges, q):
+    try:
+        edges, q = build(n, edges, q=q, q_min=None if q is None else 0.01)
+    except GraphValidationError as exc:
+        return str(exc)
+    return repr(edges), None if q is None else np.asarray(q).tobytes()
+
+
+def _graph_parts(n, edges, q=None, q_min=None):
+    graph = build_graph(n, edges, q=q, q_min=q_min)
+    return graph.edges, graph.q
 
 
 class TestBuildGraph:
@@ -78,6 +118,49 @@ class TestBuildGraph:
         g = build_graph(2, [(0, 1, 1.0)], q=[1.0, 1.0], q_min=0.01)
         with pytest.raises(ValueError):
             g.q[0] = 5.0
+
+    @pytest.mark.parametrize("edge, named", [
+        ((0.5, 1, 0.3), "(0.5, 1.0)"),
+        ((1, 1.9, 0.2), "(1.0, 1.9)"),
+        ((np.nan, 1, 0.3), "(nan, 1.0)"),
+        ((0, np.inf, 0.3), "(0.0, inf)"),
+        ((-np.inf, 2, 0.3), "(-inf, 2.0)"),
+    ])
+    def test_non_integer_endpoint_rejected(self, edge, named):
+        # Endpoints were once truncated: (1.9, 2) loaded as edge (1, 2).
+        with pytest.raises(GraphValidationError, match=rf"edge {re.escape(named)} has a non-integer endpoint"):
+            build_graph(3, [(0, 2, 1.0), edge, (1, 2, 0.2)])
+
+    def test_integral_float_endpoints_and_arrays_accepted(self):
+        rows = np.array([[2.0, 1.0, 0.5], [0.0, 2.0, 0.0], [0.0, 1.0, 1.5]])
+        expected = ((0, 1, 1.5), (1, 2, 0.5))
+        assert build_graph(3, rows).edges == expected
+        assert build_graph(3, [tuple(r) for r in rows]).edges == expected
+        assert build_graph(3, np.array([[2, 1, 1], [0, 1, 3]])).edges == ((0, 1, 3.0), (1, 2, 1.0))
+
+    def test_malformed_rows_rejected(self):
+        with pytest.raises(GraphValidationError, match="triples"):
+            build_graph(3, [(0, 1)])
+        with pytest.raises(GraphValidationError, match="triples"):
+            build_graph(3, [0, 1, 0.5])
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw_edge_lists())
+    def test_matches_the_edge_loop(self, case):
+        n, edges, q = case
+        rows = [tuple(float(v) for v in e) for e in edges]
+        whole = [all(np.isfinite(v) and v == int(v) for v in e[:2]) for e in rows]
+        if all(whole):
+            assert _built(_graph_parts, n, edges, q) == _built(build_graph_loop, n, edges, q)
+            return
+        # The loop truncated a non-integer endpoint; the builder names the
+        # first such edge unless an earlier edge has a fault of its own.
+        k = whole.index(False)
+        expected = _built(build_graph_loop, n, rows[:k], None)
+        if not isinstance(expected, str) or expected.startswith("duplicate"):
+            i, j, _ = rows[k]
+            expected = f"edge ({i}, {j}) has a non-integer endpoint"
+        assert _built(_graph_parts, n, edges, q) == expected
 
 
 class TestLaplacian:
@@ -208,5 +291,13 @@ def test_all_pairs_is_the_double_loop(n):
 
 def test_pair_arrays_are_the_stored_edges():
     g = build_graph(4, [(2, 3, 1.0), (0, 2, 0.5), (1, 0, 2.0)])
-    assert_pair_set(g.pair_arrays(), [(0, 1), (0, 2), (2, 3)])
-    assert_pair_set(build_graph(3, []).pair_arrays(), [])
+    assert_pair_set((g.idx_i, g.idx_j), [(0, 1), (0, 2), (2, 3)])
+    assert g.w.tolist() == [2.0, 0.5, 1.0] and g.w.dtype == float
+    assert g.edges == ((0, 1, 2.0), (0, 2, 0.5), (2, 3, 1.0)) and g.m == 3
+    assert all(type(i) is int and type(w) is float for i, _, w in g.edges)
+    for field in (g.idx_i, g.idx_j, g.w):
+        with pytest.raises(ValueError):
+            field[0] = 1
+    empty = build_graph(3, [])
+    assert_pair_set((empty.idx_i, empty.idx_j), [])
+    assert empty.w.shape == (0,) and empty.edges == ()

@@ -234,9 +234,8 @@ class TestRunBehavior:
         # bound coordinates must not want to move inward.
         S = kernel_spd_covariance(5, seed=707)
         result = learn_joint(S)
-        theta = laplacian_from_pairs(
-            5, *result.graph.pair_arrays(), result.graph.weights()
-        )
+        graph = result.graph
+        theta = laplacian_from_pairs(5, graph.idx_i, graph.idx_j, graph.w)
         theta[np.diag_indices(5)] += result.graph.q
         phi = np.linalg.inv(theta)
         w = edge_weight_map(result.graph)
@@ -367,6 +366,31 @@ class TestInitModes:
         config = LearnConfig(init="given", init_weights={(0, 7): 0.5})
         with pytest.raises(GraphValidationError, match="inactive"):
             learn_joint(kernel_spd_covariance(3, seed=8), config)
+
+    def test_given_init_rejects_non_integer_key(self):
+        # The (0.5, 1) weight was once dropped silently, giving w = [0, 0, 0.2].
+        config = LearnConfig(init="given", init_weights={(0.5, 1): 0.3, (1, 2): 0.2})
+        with pytest.raises(GraphValidationError, match="non-integer"):
+            covgraph.learn._initial_weights(3, *all_pairs(3), config)
+
+    def test_given_init_reads_keys_in_either_order(self):
+        config = LearnConfig(init="given", init_weights={(1, 0): 0.3, (2, 1): 0.2})
+        w0 = covgraph.learn._initial_weights(3, *all_pairs(3), config)
+        assert w0.tolist() == [0.3, 0.0, 0.2]
+
+    def test_given_init_rejects_a_pair_given_twice(self):
+        config = LearnConfig(init="given", init_weights={(0, 1): 0.3, (1, 0): 0.2})
+        with pytest.raises(GraphValidationError, match=r"duplicate edge \(0, 1\)"):
+            covgraph.learn._initial_weights(3, *all_pairs(3), config)
+
+    def test_given_init_rejects_a_screened_out_pair(self):
+        S = np.array([[2.0, 0.5, -0.1], [0.5, 2.0, 0.3], [-0.1, 0.3, 2.0]])
+        idx_i, idx_j = covgraph.verify.screen_edges(S)
+        config = LearnConfig(init="given", init_weights={(2, 0): 0.3})
+        with pytest.raises(GraphValidationError, match=r"inactive pair \(0, 2\)"):
+            covgraph.learn._initial_weights(3, idx_i, idx_j, config)
+        config = LearnConfig(init="given", init_weights={(2, 1): 0.3})
+        assert covgraph.learn._initial_weights(3, idx_i, idx_j, config).tolist() == [0.0, 0.3]
 
     def test_screening_matches_unscreened_on_positive_covariance(self):
         # All off-diagonals positive: screening removes nothing.

@@ -4,6 +4,7 @@ problems."""
 import dataclasses
 import importlib.util
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +102,18 @@ def test_in_process_alternates_two_imports_of_the_tree():
     assert row["identical"] == row["problems"] == 2
 
 
+def _ulp_up(value):
+    return np.nextafter(value, np.inf)
+
+
 class _Perturbed:
     """A package whose learns of the problem with covariance ``S[0, 1] ==
-    first`` report an objective one ulp higher from round ``from_call`` on."""
+    first`` report ``field`` changed (by default an objective one ulp
+    higher) from round ``from_call`` on."""
 
-    def __init__(self, package, first, from_call):
+    def __init__(self, package, first, from_call, field="objective", change=_ulp_up):
         self._package, self._first, self._from_call, self._calls = package, first, from_call, 0
+        self._field, self._change = field, change
 
     def __getattr__(self, name):
         return getattr(self._package, name)
@@ -116,7 +123,8 @@ class _Perturbed:
         if S[0, 1] == self._first:
             self._calls += 1
             if self._calls > self._from_call:
-                return dataclasses.replace(result, objective=np.nextafter(result.objective, np.inf))
+                changed = self._change(getattr(result, self._field))
+                return dataclasses.replace(result, **{self._field: changed})
         return result
 
 
@@ -127,6 +135,19 @@ def test_in_process_flags_a_problem_whose_outputs_differ(from_call):
     S, _ = bench_pairs.problem_inputs(packages["change"], TINY[1:])[0]
     packages["change"] = _Perturbed(packages["change"], S[0, 1], from_call)
     # A difference in any round, the first or a later one, marks the problem.
+    measured = bench_pairs.in_process(packages, {"tiny": TINY}, rounds=2)
+    assert measured["identical"] == {"tiny": [True, False]}
+    assert measured["summary"]["tiny"]["identical"] == 1
+
+
+@pytest.mark.parametrize("field, change", [
+    ("converged", operator.not_), ("kkt_residual", _ulp_up), ("duality_gap", _ulp_up),
+])
+def test_in_process_flags_a_problem_whose_certificate_differs(field, change):
+    packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_cert")
+                for side in bench_pairs.SIDES}
+    S, _ = bench_pairs.problem_inputs(packages["change"], TINY[1:])[0]
+    packages["change"] = _Perturbed(packages["change"], S[0, 1], 0, field, change)
     measured = bench_pairs.in_process(packages, {"tiny": TINY}, rounds=2)
     assert measured["identical"] == {"tiny": [True, False]}
     assert measured["summary"]["tiny"]["identical"] == 1

@@ -4,6 +4,7 @@ bound-violation trimming.
 The two-node problem is the sharpness witness: its learned weight must meet
 the correlation bound with equality.
 """
+import dataclasses
 import math
 import warnings
 
@@ -28,6 +29,7 @@ from covgraph import (
     trim_violations,
     variogram_edge_bound,
 )
+from covgraph.learn import KKT_EXIT
 from _support import (
     assert_pair_set,
     edge_weight_map,
@@ -173,12 +175,12 @@ class TestKktReport:
             q = q_min = None
         graph = build_graph(n, edges, q=q, q_min=q_min)
         pairs = [(i, j) for i, j, _ in graph.edges]
-        if baseline and not is_connected_loop(n, pairs, graph.weights()):
+        if baseline and not is_connected_loop(n, pairs, graph.w):
             with pytest.raises(SingularModelError, match="connected"):
                 kkt_report(graph, S, tol=tol)
             return
         report = kkt_report(graph, S, tol=tol)
-        expected = kkt_residuals_loop(n, pairs, graph.weights(), graph.q, q_min, S, tol)
+        expected = kkt_residuals_loop(n, pairs, graph.w, graph.q, q_min, S, tol)
         assert (
             report.max_edge_residual,
             report.max_vertex_residual,
@@ -258,12 +260,11 @@ class TestTrim:
         assert count == 0
         assert trimmed.graph.edges == result.graph.edges
 
-    def test_injected_violation_removed(self):
-        S = kernel_spd_covariance(4, seed=17)
-        result = learn_joint(S)
+    @staticmethod
+    def _with_violation(S, result):
+        """``result`` with one bound-applicable edge (both endpoints above the
+        floor) pushed far above its bound, and that edge's endpoints."""
         bad_edges = list(result.graph.edges)
-        # Push one bound-applicable edge (both endpoints above the floor)
-        # far above its bound.
         floor = result.graph.q_min + 1e-12
         target = next(
             k
@@ -274,18 +275,30 @@ class TestTrim:
         bound = edge_weight_bound(S, i, j)
         bad_edges[target] = (i, j, bound + 1.0)
         broken = build_graph(4, bad_edges, q=result.graph.q, q_min=result.graph.q_min)
-        import dataclasses
+        return dataclasses.replace(result, graph=broken), (i, j)
 
-        broken_result = dataclasses.replace(result, graph=broken)
+    def test_injected_violation_removed(self):
+        S = kernel_spd_covariance(4, seed=17)
+        broken_result, (i, j) = self._with_violation(S, learn_joint(S))
         trimmed, count = trim_violations(broken_result, S)
         assert count == 1
         assert (i, j) not in edge_weight_map(trimmed.graph)
         # Objective recomputed by direct evaluation on the trimmed graph.
         g = trimmed.graph
         expected = joint_objective_oracle(
-            4, [(i, j) for i, j, _ in g.edges], g.weights(), g.q, S.entries
+            4, [(i, j) for i, j, _ in g.edges], g.w, g.q, S.entries
         )
         assert trimmed.objective == pytest.approx(expected)
+
+    def test_trimmed_result_carries_no_certificate(self):
+        # The run's residual and gap belong to the untrimmed graph.
+        S = kernel_spd_covariance(4, seed=17)
+        result = learn_joint(S)
+        assert result.kkt_residual <= KKT_EXIT and result.duality_gap >= 0.0
+        trimmed, count = trim_violations(self._with_violation(S, result)[0], S)
+        assert count == 1
+        assert math.isnan(trimmed.kkt_residual) and math.isnan(trimmed.duality_gap)
+        assert (trimmed.epochs_run, trimmed.history) == (result.epochs_run, result.history)
 
 
 class TestOptimalSupportProperties:

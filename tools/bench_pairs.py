@@ -43,7 +43,8 @@ median, quartiles and minimum, the rounds the change wins and the
 quartiles of the per-round ratio change / parent. Outside the timed
 region the run also compares the two sides' outputs, problem by problem:
 ``identical`` holds, per problem set, whether ``graph.edges``, the bytes
-of ``graph.q``, ``repr(objective)``, ``history`` and ``epochs_run`` were
+of ``graph.q``, ``repr(objective)``, ``history``, ``epochs_run``,
+``converged``, ``repr(kkt_residual)`` and ``repr(duality_gap)`` were
 byte-identical on both sides in every round, and the summary counts them.
 """
 from __future__ import annotations
@@ -179,10 +180,13 @@ def timed_learns(package, inputs):
 
 def output_digest(result):
     """What two trees must agree on byte for byte: the learned edges, the
-    bytes of the importances, the objective, its history and the epochs."""
+    bytes of the importances, the objective, its history, the epochs and
+    the certificate (whether the run converged, its KKT residual and its
+    duality gap)."""
     q = result.graph.q
     return (repr(result.graph.edges), None if q is None else q.tobytes(),
-            repr(result.objective), repr(result.history), result.epochs_run)
+            repr(result.objective), repr(result.history), result.epochs_run,
+            result.converged, repr(result.kkt_residual), repr(result.duality_gap))
 
 
 def in_process(packages, problem_sets, rounds):
