@@ -9,8 +9,10 @@ and sparser graphs; the baseline stays dense at short ranges.
 The full-size run (n=50, 10+ trials) is `covgraph experiment` or the
 acceptance suite; this script keeps n small so it finishes in seconds.
 """
+import sys
+
 from covgraph import LearnConfig, run_experiment
-from covgraph.io import experiment_table_to_csv
+from covgraph.io import write_experiment_csv
 
 table = run_experiment(
     ranges=[0.02, 0.1, 1.0],
@@ -20,7 +22,7 @@ table = run_experiment(
     config=LearnConfig(stop_tol=1e-10, max_epochs=500),
 )
 
-print(experiment_table_to_csv(table), end="")
+write_experiment_csv(sys.stdout, table)
 
 print()
 for r in (0.02, 0.1, 1.0):

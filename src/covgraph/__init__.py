@@ -1,6 +1,8 @@
 """covgraph: learn graph Laplacians, jointly with vertex importances, from
 covariance matrices by coordinate minimization."""
 
+from types import ModuleType as _ModuleType
+
 from .bench import (
     ExperimentTable,
     MetricsRow,
@@ -59,4 +61,5 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules that the imports above bind (learn, verify, ...) are not exported.
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

@@ -40,9 +40,15 @@ def _parse_floats(text):
         raise CliError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _given(args, *names):
+    """Keyword arguments for the options among ``names`` that the user gave,
+    so the library supplies the defaults of the others."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_synth(args):
     sample = sample_locations(args.n, args.seed)
-    S = variogram_covariance(sample, VariogramSpec(sill=args.sill, range_=args.range))
+    S = variogram_covariance(sample, VariogramSpec(range_=args.range, **_given(args, "sill")))
     io.write_covariance_csv(args.out_cov, S)
     if args.out_points:
         io.write_points_csv(args.out_points, sample.points)
@@ -60,45 +66,35 @@ def _read_points(path, n):
 
 
 def _learn_config(args, points):
-    if args.init == "auto":
+    init = args.init
+    if init == "auto":
         init = "kernel" if points is not None else "uniform"
-    else:
-        init = args.init
     init_weights = None
     if init == "given":
         if not args.init_graph:
             raise CliError("--init given requires --init-graph")
         graph = io.read_graph_json(args.init_graph)
         init_weights = {(i, j): w for i, j, w in graph.edges}
-    return LearnConfig(
-        method=args.method,
-        protocol=args.protocol,
-        q_min=args.qmin,
-        stop_tol=args.tol,
-        max_epochs=args.max_epochs,
-        init=init,
-        init_value=args.init_value,
-        points=points,
-        init_weights=init_weights,
-        screen=args.screen,
-    )
+    options = _given(args, "method", "protocol", "q_min", "stop_tol", "max_epochs", "init_value")
+    return LearnConfig(init=init, points=points, init_weights=init_weights, screen=args.screen, **options)
 
 
 def _cmd_learn(args):
     S = io.read_covariance_csv(args.cov)
-    result = learn(S, _learn_config(args, _read_points(args.points, S.n)))
+    config = _learn_config(args, _read_points(args.points, S.n))
+    result = learn(S, config)
     io.write_graph_json(args.out, result.graph)
     io.write_learn_meta_json(io.meta_path_for(args.out), result)
     if not result.converged:
         residual = f"{result.kkt_residual:.3e}"
         if result.protocol == "paper":
-            why = f"an epoch changed the objective by less than --tol {args.tol:g}"
-        elif len(result.history) - 1 >= args.max_epochs:
+            why = f"an epoch changed the objective by less than --tol {config.stop_tol:g}"
+        elif len(result.history) - 1 >= config.max_epochs:
             why = f"the KKT residual reached {KKT_EXIT:g} (it is {residual})"
         else:
             why = None
         if why:
-            print(f"warning: stopped at max_epochs={args.max_epochs} before {why}", file=sys.stderr)
+            print(f"warning: stopped at max_epochs={config.max_epochs} before {why}", file=sys.stderr)
         else:
             print(f"warning: the KKT residual stalled at {residual}, above {KKT_EXIT:g}", file=sys.stderr)
     return 0
@@ -107,13 +103,11 @@ def _cmd_learn(args):
 def _cmd_verify(args):
     graph = io.read_graph_json(args.graph)
     S = io.read_covariance_csv(args.cov)
-    if graph.n != S.n:
-        raise CliError(f"graph has {graph.n} vertices but covariance is {S.n} x {S.n}")
     if graph.q is None and (args.out_bounds or args.bounds_csv or args.trim):
         raise CliError("--out-bounds, --bounds-csv and --trim need a graph learned with vertex importances")
     points = _read_points(args.points, S.n)
 
-    kkt = kkt_report(graph, S, tol=args.tol)
+    kkt = kkt_report(graph, S, **_given(args, "tol"))
     if args.out_kkt:
         io.write_kkt_json(args.out_kkt, kkt)
     status = "pass" if kkt.passed else "fail"
@@ -121,14 +115,15 @@ def _cmd_verify(args):
         print(f"kkt {status} (max edge residual {kkt.max_edge_residual:.3e})")
         return 0
 
-    bounds = bound_report(graph, S, tol=args.bound_tol)
+    bound_tol = {} if args.bound_tol is None else {"tol": args.bound_tol}
+    bounds = bound_report(graph, S, **bound_tol)
     if args.out_bounds:
         io.write_bound_report_json(args.out_bounds, bounds)
     if args.bounds_csv:
         io.write_bound_table_csv(args.bounds_csv, bounds, points=points)
 
     if args.trim:
-        trimmed, n_trimmed = trim_violations(graph, S, tol=args.bound_tol)
+        trimmed, n_trimmed = trim_violations(graph, S, **bound_tol)
         io.write_graph_json(args.out_graph, trimmed)
         print(f"trimmed {n_trimmed} bound-violating edge(s)", file=sys.stderr)
 
@@ -164,36 +159,35 @@ def _cmd_sample(args):
 
 def _cmd_experiment(args):
     ranges = _parse_floats(args.ranges)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    config = LearnConfig(q_min=args.qmin, stop_tol=args.tol, max_epochs=args.max_epochs)
-    table = run_experiment(
-        ranges,
-        n=args.n,
-        trials=args.trials,
-        base_seed=args.seed,
-        methods=methods,
-        config=config,
-        parallel=args.parallel,
-    )
+    options = _given(args, "n", "trials", "base_seed", "parallel")
+    if args.methods is not None:
+        options["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+    config = LearnConfig(**_given(args, "q_min", "stop_tol", "max_epochs"))
+    table = run_experiment(ranges, config=config, **options)
     io.write_experiment_csv(args.out or sys.stdout, table)
     return 0
 
 
 def _cmd_bounds(args):
-    ranges = _parse_floats(args.ranges)
-    d_grid, curves = bound_curves(ranges, sill=args.sill, d_max=args.d_max, steps=args.steps)
+    d_grid, curves = bound_curves(_parse_floats(args.ranges), **_given(args, "sill", "d_max", "steps"))
     io.write_bound_curves_csv(args.out or sys.stdout, d_grid, curves)
     return 0
 
 
+# The paper's correlation ranges, the grid of `experiment` and `bounds`.
+_PAPER_RANGES = "0.01,0.02,0.1,0.2,1"
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Options left unset are None and take the library's defaults (see
+    :func:`_given`); only ``--init``, ``--psd`` and ``--ranges`` default here."""
     parser = _Parser(prog="covgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("synth", help="generate a variogram covariance and locations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--range", type=float, required=True)
-    p.add_argument("--sill", type=float, default=10.0)
+    p.add_argument("--sill", type=float)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-cov", required=True)
     p.add_argument("--out-points")
@@ -201,19 +195,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="learn a graph from a covariance CSV")
     p.add_argument("--cov", required=True)
-    p.add_argument("--method", choices=("joint", "baseline"), default="joint")
+    p.add_argument("--method", choices=("joint", "baseline"))
     p.add_argument(
-        "--protocol", choices=PROTOCOLS, default="optimum",
+        "--protocol", choices=PROTOCOLS,
         help="optimum: stop at a certified KKT residual; paper: the paper's objective-change stop",
     )
-    p.add_argument("--qmin", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--qmin", type=float, dest="q_min")
+    p.add_argument("--tol", type=float, dest="stop_tol",
                    help="epoch objective change that stops a paper-protocol run")
-    p.add_argument("--max-epochs", type=int, default=1000)
+    p.add_argument("--max-epochs", type=int)
     p.add_argument("--screen", action="store_true")
     p.add_argument("--points")
     p.add_argument("--init", choices=("auto", "uniform", "kernel", "given"), default="auto")
-    p.add_argument("--init-value", type=float, default=None)
+    p.add_argument("--init-value", type=float)
     p.add_argument("--init-graph")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_learn)
@@ -221,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="optimality and bound reports for a learned graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--cov", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--bound-tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--bound-tol", type=float)
     p.add_argument("--points")
     p.add_argument("--out-kkt")
     p.add_argument("--out-bounds")
@@ -245,23 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("experiment", help="trial-averaged benchmark table")
-    p.add_argument("--ranges", default="0.01,0.02,0.1,0.2,1")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--methods", default="baseline,joint")
-    p.add_argument("--qmin", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--ranges", default=_PAPER_RANGES)
+    p.add_argument("--n", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int, dest="base_seed")
+    p.add_argument("--methods")
+    p.add_argument("--qmin", type=float, dest="q_min")
+    p.add_argument("--tol", type=float, dest="stop_tol")
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--parallel", type=int)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("bounds", help="weight-bound curves over a distance grid")
-    p.add_argument("--ranges", default="0.01,0.02,0.1,0.2,1")
-    p.add_argument("--sill", type=float, default=10.0)
-    p.add_argument("--d-max", type=float, default=1.5)
-    p.add_argument("--steps", type=int, default=151)
+    p.add_argument("--ranges", default=_PAPER_RANGES)
+    p.add_argument("--sill", type=float)
+    p.add_argument("--d-max", type=float)
+    p.add_argument("--steps", type=int)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_bounds)
 

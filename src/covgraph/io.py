@@ -18,10 +18,6 @@ import numpy as np
 from .graphs import CovarianceMatrix, Graph, GraphValidationError, build_graph, pairwise_distances
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _rows_to_text(rows) -> str:
     """One comma-separated line per row; each row is a float array."""
     return "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
@@ -170,46 +166,33 @@ def write_bound_report_json(dest, report) -> None:
     _write_json(dest, bound_report_to_dict(report))
 
 
+def _write_table(dest, header, columns) -> None:
+    """A CSV table: the ``header`` names, then one line per row of the
+    equal-length ``columns``. A string cell is written as it is, None is an
+    empty cell, and any other value is a float written as ``repr(float(v))``,
+    so an integer column is passed as strings."""
+    cells = [["" if v is None else v if isinstance(v, str) else repr(float(v)) for v in col] for col in columns]
+    _write(dest, ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
 def write_bound_table_csv(dest, report, points=None) -> None:
     """Per-edge bound table: i,j,d,w,bound,violated. The distance column is
     NaN unless vertex coordinates are supplied."""
-    lines = ["i,j,d,w,bound,violated\n"]
     records = report.records
-    if points is None:
-        dists = np.full(len(records), np.nan)
-    else:
-        dists = pairwise_distances(points)[[rec.i for rec in records], [rec.j for rec in records]]
-    for rec, d in zip(records, dists.tolist()):
-        lines.append(
-            f"{rec.i},{rec.j},{_fmt(d)},{_fmt(rec.w)},{_fmt(rec.bound)},{int(rec.violated)}\n"
-        )
-    _write(dest, "".join(lines))
-
-
-def experiment_table_to_csv(table) -> str:
-    """Header method,r,u_q,q_bar,epsilon_w,time_s; undefined metrics stay blank."""
-    lines = ["method,r,u_q,q_bar,epsilon_w,time_s\n"]
-    for row in table.rows:
-        u_q = "" if row.u_q is None else _fmt(row.u_q)
-        q_bar = "" if row.q_bar is None else _fmt(row.q_bar)
-        lines.append(
-            f"{row.method},{_fmt(row.r)},{u_q},{q_bar},{_fmt(row.epsilon_w)},{_fmt(row.time_s)}\n"
-        )
-    return "".join(lines)
+    i, j = [rec.i for rec in records], [rec.j for rec in records]
+    d = np.full(len(records), np.nan) if points is None else pairwise_distances(points)[i, j]
+    columns = (map(str, i), map(str, j), d.tolist(), [rec.w for rec in records],
+               [rec.bound for rec in records], [str(int(rec.violated)) for rec in records])
+    _write_table(dest, ("i", "j", "d", "w", "bound", "violated"), columns)
 
 
 def write_experiment_csv(dest, table) -> None:
-    _write(dest, experiment_table_to_csv(table))
-
-
-def bound_curves_to_csv(d_grid, curves) -> str:
-    header = "d," + ",".join(curves.keys()) + "\n"
-    lines = [header]
-    columns = list(curves.values())
-    for k, d in enumerate(d_grid):
-        lines.append(",".join([_fmt(d)] + [_fmt(col[k]) for col in columns]) + "\n")
-    return "".join(lines)
+    """One line per :class:`~covgraph.bench.MetricsRow`, its fields in order;
+    undefined metrics stay blank."""
+    header = ("method", "r", "u_q", "q_bar", "epsilon_w", "time_s")
+    _write_table(dest, header, ([getattr(row, name) for row in table.rows] for name in header))
 
 
 def write_bound_curves_csv(dest, d_grid, curves) -> None:
-    _write(dest, bound_curves_to_csv(d_grid, curves))
+    """Columns d and the named curves; one line per grid distance."""
+    _write_table(dest, ("d", *curves), (d_grid, *curves.values()))

@@ -202,9 +202,11 @@ class LearnResult:
     entries; under ``"optimum"`` each warm epoch and each Newton round,
     after the round's epoch if it ran one, so it has ``WARM_EPOCHS +
     newton_rounds + 1`` entries when ``max_epochs`` allows the warm phase.
-    The last entry is the objective on the refreshed inverse. The opening
-    clamp of an ``"optimum"`` run is not a capped step and has no entry:
-    ``history[0]`` is the objective at the start weights, before it.
+    Under ``"optimum"`` the last entry is ``objective``, taken on the exit's
+    refreshed inverse; under ``"paper"`` it is the objective after the last
+    epoch, before the closing refresh, so its last digits can differ. The
+    opening clamp of an ``"optimum"`` run is not a capped step and has no
+    entry: ``history[0]`` is the objective at the start weights, before it.
     ``converged`` is True only when the protocol's stop criterion was met
     (KKT residual at most ``KKT_EXIT``, or an epoch change below
     ``stop_tol``); a run stopped by ``max_epochs``, or by a residual that

@@ -10,6 +10,8 @@ every vertex pair with :func:`covgraph.solver.coordinate_steps`, as the
 learner's exit check does; the independent references are the tests'
 pair loop ``kkt_residuals_loop`` and the benchmark's stationarity gate
 (``perfbench/stationarity.py``). The weight bounds are joint-model results.
+Each check takes a learning result or a bare graph, and a covariance of the
+graph's size; one of another size raises ``GraphValidationError``.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import all_pairs, as_covariance, build_graph, laplacian
+from .graphs import GraphValidationError, all_pairs, as_covariance, build_graph, laplacian
 from .solver import above_floor, coordinate_steps, edge_cost, model_inverse, model_objective
 
 
@@ -121,8 +123,14 @@ def screen_edges(S):
     return idx_i[keep], idx_j[keep]
 
 
-def _graph_of(result_or_graph):
-    return getattr(result_or_graph, "graph", result_or_graph)
+def _inputs(result_or_graph, S):
+    """The graph of a learning result or a bare graph, and ``S`` as a
+    validated covariance array of the graph's size."""
+    graph = getattr(result_or_graph, "graph", result_or_graph)
+    S = as_covariance(S)
+    if S.n != graph.n:
+        raise GraphValidationError(f"graph has {graph.n} vertices but covariance is {S.n} x {S.n}")
+    return graph, S.entries
 
 
 def _bound_columns(graph, S, tol):
@@ -140,7 +148,7 @@ def _bound_columns(graph, S, tol):
 
 def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
     """Check every stored edge of a joint result against its weight bound."""
-    columns = _bound_columns(_graph_of(result_or_graph), as_covariance(S).entries, tol)
+    columns = _bound_columns(*_inputs(result_or_graph, S), tol)
     records = [EdgeBoundRecord(*row) for row in zip(*(c.tolist() for c in columns))]
     n_applicable, n_violated = (int(np.count_nonzero(c)) for c in columns[5:7])
     return BoundReport(tol, records, len(records), n_applicable, n_violated)
@@ -156,8 +164,7 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     :class:`~covgraph.solver.SingularModelError`; a degenerate covariance
     raises the error of :func:`covgraph.solver.edge_cost`, as learning does.
     """
-    graph = _graph_of(result_or_graph)
-    S = as_covariance(S).entries
+    graph, S = _inputs(result_or_graph, S)
     L = laplacian(graph)
     phi = model_inverse(L, graph.q)
 
@@ -191,8 +198,7 @@ def trim_violations(result, S, tol=1e-8):
     graph; :func:`kkt_report` checks the trimmed one. With no violations the
     result is returned unchanged, so the operation is idempotent.
     """
-    S = as_covariance(S).entries
-    graph = _graph_of(result)
+    graph, S = _inputs(result, S)
     violated = _bound_columns(graph, S, tol)[6]
     n_violated = int(np.count_nonzero(violated))
     if n_violated == 0:

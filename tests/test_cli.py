@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from covgraph import build_graph
+from covgraph import ExperimentTable, LearnConfig, build_graph
 from covgraph import io as cio
-from covgraph.cli import main
-from covgraph.learn import KKT_EXIT
+from covgraph.cli import build_parser, main
+from covgraph.learn import KKT_EXIT, learn
 from _support import kernel_spd_covariance
 
 
@@ -420,6 +420,62 @@ class TestExperimentAndBounds:
         assert run("experiment", "--trials", "1", "--n", "5", *argv, "--out", str(out)) == 1
         assert "must not be empty" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDefaults:
+    """Options left unset reach the library as absent, so its defaults apply."""
+
+    REQUIRED = {
+        "synth": ("--n", "3", "--range", "0.1", "--seed", "0", "--out-cov", "c.csv"),
+        "learn": ("--cov", "c.csv", "--out", "g.json"),
+        "verify": ("--graph", "g.json", "--cov", "c.csv"),
+        "gft": ("--graph", "g.json"),
+        "sample": ("--graph", "g.json", "--count", "1", "--seed", "0"),
+        "experiment": (),
+        "bounds": (),
+    }
+    PAPER_RANGES = "0.01,0.02,0.1,0.2,1"
+    CLI_CHOICES = {
+        "learn": {"init": "auto"},
+        "sample": {"psd": "joint"},
+        "experiment": {"ranges": PAPER_RANGES},
+        "bounds": {"ranges": PAPER_RANGES},
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_only_command_line_choices_have_defaults(self, command):
+        required = self.REQUIRED[command]
+        args = vars(build_parser().parse_args([command, *required]))
+        given = {flag[2:].replace("-", "_") for flag in required[::2]} | {"command", "handler"}
+        defaults = {k: v for k, v in args.items() if k not in given and v is not None and v is not False}
+        assert defaults == self.CLI_CHOICES.get(command, {})
+
+    def test_learn_uses_the_library_config(self, tmp_path, synth_files, monkeypatch):
+        configs = []
+
+        def recording_learn(S, config):
+            configs.append(config)
+            return learn(S, config)
+
+        monkeypatch.setattr("covgraph.cli.learn", recording_learn)
+        cov, _ = synth_files
+        assert run("learn", "--cov", str(cov), "--out", str(tmp_path / "g.json")) == 0
+        assert configs == [LearnConfig()]
+
+    def test_experiment_passes_only_the_given_options(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording_experiment(ranges, **options):
+            calls.append((ranges, options))
+            return ExperimentTable(rows=[])
+
+        monkeypatch.setattr("covgraph.cli.run_experiment", recording_experiment)
+        assert run("experiment", "--seed", "3", "--tol", "1e-8", "--out", str(tmp_path / "t.csv")) == 0
+        assert run("experiment", "--methods", "joint", "--out", str(tmp_path / "t.csv")) == 0
+        assert calls == [
+            ([0.01, 0.02, 0.1, 0.2, 1.0], {"base_seed": 3, "config": LearnConfig(stop_tol=1e-8)}),
+            ([0.01, 0.02, 0.1, 0.2, 1.0], {"methods": ["joint"], "config": LearnConfig()}),
+        ]
 
 
 def _without_time_column(text):

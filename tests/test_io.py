@@ -1,5 +1,6 @@
 """Serialization tests: every format must round-trip finite doubles
 bit-exactly (shortest round-trip decimal encoding)."""
+import io
 import json
 from dataclasses import replace
 
@@ -268,8 +269,9 @@ class TestReportsAndTables:
                 MetricsRow(method="joint", r=0.1, u_q=0.5, q_bar=0.2, epsilon_w=0.5, time_s=0.5),
             ]
         )
-        text = cio.experiment_table_to_csv(table)
-        lines = text.splitlines()
+        out = io.StringIO()
+        cio.write_experiment_csv(out, table)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "method,r,u_q,q_bar,epsilon_w,time_s"
         assert lines[1] == "baseline,0.1,,,0.25,1.0"
         assert lines[2] == "joint,0.1,0.5,0.2,0.5,0.5"
@@ -278,8 +280,60 @@ class TestReportsAndTables:
         from covgraph import bound_curves
 
         d, curves = bound_curves([0.1], steps=4)
-        text = cio.bound_curves_to_csv(d, curves)
-        lines = text.splitlines()
+        out = io.StringIO()
+        cio.write_bound_curves_csv(out, d, curves)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "d,bound_proposed_r0.1,bound_baseline_r0.1"
         assert lines[1].startswith("0.0,inf,inf")
         assert len(lines) == 5
+
+
+class TestCsvCells:
+    # The expected bytes are those of the per-table writers that preceded the
+    # shared table formatter. A float cell is repr(float(v)): repr of a numpy
+    # scalar would write "np.float64(0.25)" under numpy 2.
+    NAN, INF = float("nan"), float("inf")
+
+    def _write(self, writer, *args, **kwargs):
+        out = io.StringIO()
+        writer(out, *args, **kwargs)
+        return out.getvalue()
+
+    def test_bound_table(self):
+        from covgraph.verify import BoundReport, EdgeBoundRecord
+
+        records = [
+            EdgeBoundRecord(0, 1, np.float64(0.25), 0.5, self.INF, True, True, self.NAN),
+            EdgeBoundRecord(0, 2, 5e-324, -0.5, -0.0, False, False, 0.0),
+            EdgeBoundRecord(1, 2, 1e300, 0.1, self.NAN, True, np.True_, 1.0),
+        ]
+        report = BoundReport(1e-8, records, 3, 2, 1)
+        assert self._write(cio.write_bound_table_csv, report) == (
+            "i,j,d,w,bound,violated\n0,1,nan,0.25,inf,1\n0,2,nan,5e-324,-0.0,0\n1,2,nan,1e+300,nan,1\n"
+        )
+        points = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        assert self._write(cio.write_bound_table_csv, report, points=points) == (
+            "i,j,d,w,bound,violated\n0,1,5.0,0.25,inf,1\n0,2,1.0,5e-324,-0.0,0\n"
+            "1,2,4.242640687119285,1e+300,nan,1\n"
+        )
+
+    def test_experiment_table(self):
+        from covgraph import ExperimentTable, MetricsRow
+
+        table = ExperimentTable(rows=[
+            MetricsRow(method="baseline", r=np.float64(0.1), u_q=None, q_bar=None, epsilon_w=-0.0, time_s=5e-324),
+            MetricsRow(method="joint", r=1, u_q=self.NAN, q_bar=np.float64(0.25), epsilon_w=self.INF, time_s=1e300),
+        ])
+        assert self._write(cio.write_experiment_csv, table) == (
+            "method,r,u_q,q_bar,epsilon_w,time_s\nbaseline,0.1,,,-0.0,5e-324\njoint,1.0,nan,0.25,inf,1e+300\n"
+        )
+
+    def test_bound_curves(self):
+        d_grid = np.array([0.0, 0.5, 1e300])
+        curves = {
+            "bound_proposed_r1": np.array([self.INF, 0.25, 5e-324]),
+            "bound_baseline_r1": [-0.0, self.NAN, 2],
+        }
+        assert self._write(cio.write_bound_curves_csv, d_grid, curves) == (
+            "d,bound_proposed_r1,bound_baseline_r1\n0.0,inf,-0.0\n0.5,0.25,nan\n1e+300,5e-324,2.0\n"
+        )

@@ -6,6 +6,7 @@ point S^{-1} is feasible there), a planted-graph self-consistency check for
 the baseline, and an independent projected-gradient minimizer.
 """
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,6 +300,19 @@ class TestRunRecord:
         assert len(drifts) == result.epochs_run // covgraph.learn.REFRESH_EVERY + 1 >= 2
         assert result.max_refresh_drift == max(drifts) > 0.0
         assert result.singularity_clips == states[0].singularity_clips >= 3
+
+    @pytest.mark.parametrize("method", ["joint", "baseline"])
+    @pytest.mark.parametrize("max_epochs", [3, 1000])
+    def test_history_ends_as_documented(self, method, max_epochs):
+        sample = sample_locations(20, seed=2)
+        S = variogram_covariance(sample, VariogramSpec(range_=0.2))
+        config = LearnConfig(method=method, init="kernel", points=sample.points, max_epochs=max_epochs)
+        # "optimum" ends on the objective of its exit refresh; "paper" records
+        # each epoch and ends before its closing refresh.
+        optimum = learn(S, config)
+        assert optimum.history[-1] == optimum.objective
+        paper = learn(S, replace(config, protocol="paper"))
+        assert len(paper.history) == paper.epochs_run + 1
 
     def test_batched_learn_records_small_drift(self):
         sample = sample_locations(20, seed=8)

@@ -301,6 +301,30 @@ class TestTrim:
         assert (trimmed.epochs_run, trimmed.history) == (result.epochs_run, result.history)
 
 
+class TestCovarianceSize:
+    # A larger S was once read off its top-left block, and a smaller one
+    # raised a bare IndexError.
+    joint = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)], q=np.ones(3), q_min=0.01)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("check", [kkt_report, bound_report, trim_violations])
+    def test_other_size_rejected(self, check, size):
+        S = kernel_spd_covariance(size, seed=3)
+        with pytest.raises(GraphValidationError, match=f"graph has 3 vertices but covariance is {size} x {size}"):
+            check(self.joint, S)
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_other_size_rejected_for_results_and_baseline_graphs(self, size):
+        S = kernel_spd_covariance(size, seed=3)
+        result = learn_joint(kernel_spd_covariance(3, seed=4))
+        for check in (kkt_report, bound_report, trim_violations):
+            with pytest.raises(GraphValidationError, match="graph has 3 vertices"):
+                check(result, S)
+        baseline = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+        with pytest.raises(GraphValidationError, match="graph has 3 vertices"):
+            kkt_report(baseline, S)
+
+
 class TestOptimalSupportProperties:
     def test_nonpositive_pairs_carry_no_weight(self):
         for seed in (31, 32):
