@@ -8,12 +8,14 @@ from .bench import (
     MetricsRow,
     SpatialSample,
     VariogramSpec,
+    baseline_variogram_edge_bound,
     bound_curves,
     compute_metrics,
     kernel_initial_graph,
     run_experiment,
     sample_locations,
     variogram_covariance,
+    variogram_edge_bound,
 )
 from .graphs import (
     CovarianceMatrix,
@@ -50,13 +52,11 @@ from .spectral import (
 from .verify import (
     BoundReport,
     KKTReport,
-    baseline_variogram_edge_bound,
     bound_report,
     edge_weight_bound,
     kkt_report,
     screen_edges,
     trim_violations,
-    variogram_edge_bound,
 )
 
 __version__ = "0.1.0"

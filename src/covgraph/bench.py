@@ -1,6 +1,7 @@
 """Synthetic spatial benchmark: exponential-variogram covariances over
-random locations in the unit square, learned-graph quality metrics, and the
-trial-averaged comparison harness for the two learners.
+random locations in the unit square and their closed-form weight bounds,
+learned-graph quality metrics, and the trial-averaged comparison harness
+for the two learners.
 
 A trial samples n locations, builds the exact covariance S_ii = sill,
 S_ij = sill * exp(-d_ij / range), learns a graph from the same Gaussian
@@ -19,7 +20,6 @@ import numpy as np
 from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs, pairwise_distances
 from .learn import LearnConfig, kernel_weights, learn
 from .solver import SingularModelError, above_floor
-from .verify import baseline_variogram_edge_bound, variogram_edge_bound
 
 # A weight is an "edge" only above this threshold: exact clamps land on 0.0,
 # but refresh and trimming paths may leave numerical dust.
@@ -51,6 +51,26 @@ class VariogramSpec:
             raise GraphValidationError("variogram sill must be positive")
         if not self.range_ > 0:
             raise GraphValidationError("variogram range must be positive")
+
+
+def variogram_edge_bound(d, r, sill=VariogramSpec.sill):
+    """Joint-model weight bound for the covariance of ``VariogramSpec(sill, r)``
+    as a function of vertex distance: 1 / (sill * (e^(d/r) - e^(-d/r)))."""
+    spec = VariogramSpec(sill, r)
+    x = np.asarray(d, dtype=float) / spec.range_
+    with np.errstate(divide="ignore"):
+        out = 1.0 / (spec.sill * (np.exp(x) - np.exp(-x)))
+    return out if out.ndim else float(out)
+
+
+def baseline_variogram_edge_bound(d, r, sill=VariogramSpec.sill):
+    """Baseline (combinatorial-Laplacian) weight bound 1/h for the same
+    covariance: 1 / (2 sill (1 - e^(-d/r))); unbounded (inf) at d = 0."""
+    spec = VariogramSpec(sill, r)
+    x = np.asarray(d, dtype=float) / spec.range_
+    with np.errstate(divide="ignore"):
+        out = 1.0 / (2.0 * spec.sill * (1.0 - np.exp(-x)))
+    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -244,7 +264,7 @@ def run_experiment(
     return ExperimentTable(rows=rows)
 
 
-def bound_curves(ranges, sill=10.0, d_max=1.5, steps=151):
+def bound_curves(ranges, sill=VariogramSpec.sill, d_max=1.5, steps=151):
     """Weight-bound curves on a uniform distance grid starting at 0.
 
     Returns ``(d_grid, curves)`` with one joint-model and one baseline curve
@@ -259,8 +279,6 @@ def bound_curves(ranges, sill=10.0, d_max=1.5, steps=151):
         raise GraphValidationError(f"d_max must be positive and finite, got {d_max!r}")
     if steps < 1:
         raise GraphValidationError(f"steps must be at least 1, got {steps!r}")
-    for r in ranges:
-        VariogramSpec(sill=sill, range_=r)
     d = np.linspace(0.0, float(d_max), int(steps))
     curves = {}
     for r in ranges:

@@ -75,6 +75,8 @@ def _learn_config(args, points):
             raise CliError("--init given requires --init-graph")
         graph = io.read_graph_json(args.init_graph)
         init_weights = {(i, j): w for i, j, w in graph.edges}
+    elif args.init_graph:
+        raise CliError(f"--init-graph requires --init given (the start is {init})")
     options = _given(args, "method", "protocol", "q_min", "stop_tol", "max_epochs", "init_value")
     return LearnConfig(init=init, points=points, init_weights=init_weights, screen=args.screen, **options)
 
@@ -101,10 +103,14 @@ def _cmd_learn(args):
 
 
 def _cmd_verify(args):
+    if args.trim and not args.out_graph:
+        raise CliError("--trim requires --out-graph")
     graph = io.read_graph_json(args.graph)
     S = io.read_covariance_csv(args.cov)
-    if graph.q is None and (args.out_bounds or args.bounds_csv or args.trim):
-        raise CliError("--out-bounds, --bounds-csv and --trim need a graph learned with vertex importances")
+    if graph.q is None and (args.out_bounds or args.bounds_csv or args.trim or args.bound_tol is not None):
+        raise CliError(
+            "--out-bounds, --bounds-csv, --trim and --bound-tol need a graph learned with vertex importances"
+        )
     points = _read_points(args.points, S.n)
 
     kkt = kkt_report(graph, S, **_given(args, "tol"))
@@ -266,8 +272,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "trim", False) and not args.out_graph:
-            raise CliError("--trim requires --out-graph")
         return args.handler(args)
     except (SingularModelError, np.linalg.LinAlgError) as exc:
         # Before ValueError: numpy's LinAlgError is a ValueError subclass.
@@ -280,3 +284,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

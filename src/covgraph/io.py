@@ -117,22 +117,15 @@ def meta_path_for(graph_path) -> Path:
     return Path(str(p) + ".meta.json")
 
 
+# The sidecar keys that differ from their LearnResult field names.
+_META_KEYS = {"epochs_run": "epochs", "wall_time_seconds": "wall_time_s"}
+
+
 def write_learn_meta_json(dest, result) -> None:
-    payload = {
-        "objective": float(result.objective),
-        "epochs": int(result.epochs_run),
-        "converged": bool(result.converged),
-        "wall_time_s": float(result.wall_time_seconds),
-        "max_refresh_drift": float(result.max_refresh_drift),
-        "singularity_clips": int(result.singularity_clips),
-        "protocol": result.protocol,
-        "kkt_residual": float(result.kkt_residual),
-        "duality_gap": float(result.duality_gap),
-        "newton_rounds": int(result.newton_rounds),
-        "cg_iterations": int(result.cg_iterations),
-        "failed_line_searches": int(result.failed_line_searches),
-    }
-    _write_json(dest, payload)
+    """The :class:`~covgraph.learn.LearnResult` fields but ``graph`` and
+    ``history``, in declaration order."""
+    meta = {_META_KEYS.get(k, k): v for k, v in vars(result).items() if k not in ("graph", "history")}
+    _write_json(dest, meta)
 
 
 def write_signals_csv(dest, signals) -> None:

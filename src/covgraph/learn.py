@@ -55,6 +55,7 @@ caps.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -152,10 +153,11 @@ class LearnConfig:
     places ``init_value`` (default 1/n) on every active pair, ``"kernel"``
     uses a Gaussian kernel of the pairwise distances of ``points`` with
     bandwidth one third of the mean distance, and ``"given"`` reads weights
-    from the ``init_weights`` mapping {(i, j): w}. ``screen`` keeps only
-    the pairs with S_ij > 0 (:func:`covgraph.verify.screen_edges`); that is
-    exact for the joint method alone, because baseline optima put weight on
-    nonpositive pairs too, so the baseline rejects it.
+    from the ``init_weights`` mapping {(i, j): w}; either option with
+    another start is rejected. ``screen`` keeps only the pairs with S_ij > 0
+    (:func:`covgraph.verify.screen_edges`); that is exact for the joint
+    method alone, because baseline optima put weight on nonpositive pairs
+    too, so the baseline rejects it.
 
     ``protocol`` is ``"optimum"`` (certified stop, the default) or
     ``"paper"`` (the paper's objective-change stop); the module docstring
@@ -182,6 +184,10 @@ class LearnConfig:
             raise GraphValidationError(f"unknown protocol {self.protocol!r}")
         if self.init not in INIT_MODES:
             raise GraphValidationError(f"unknown init mode {self.init!r}")
+        if self.init_value is not None and self.init != "uniform":
+            raise GraphValidationError(f"init_value applies to init='uniform' only, not {self.init!r}")
+        if self.init_weights is not None and self.init != "given":
+            raise GraphValidationError(f"init_weights applies to init='given' only, not {self.init!r}")
         if not self.stop_tol > 0:
             raise GraphValidationError("stop_tol must be positive")
         if self.max_epochs < 1:
@@ -287,6 +293,9 @@ def _initial_weights(n, idx_i, idx_j, config: LearnConfig) -> np.ndarray:
     given = config.init_weights
     if given is None:
         raise GraphValidationError("init='given' requires init_weights")
+    for key in given:
+        if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(v, numbers.Real) for v in key)):
+            raise GraphValidationError(f"init weight key {key!r} is not an (i, j) pair")
     ends = np.array(list(given), dtype=float).reshape(len(given), 2)
     inside = np.all((0 <= ends) & (ends < n), axis=1)
     graph = build_graph(n, np.column_stack((ends, list(given.values())))[inside])

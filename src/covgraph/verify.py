@@ -24,6 +24,10 @@ import numpy as np
 from .graphs import GraphValidationError, all_pairs, as_covariance, build_graph, laplacian
 from .solver import above_floor, coordinate_steps, edge_cost, model_inverse, model_objective
 
+# Default tolerance of the weight-bound check: ``bound_report`` flags, and
+# ``trim_violations`` removes, the edges with w > bound + tol.
+BOUND_TOL = 1e-8
+
 
 @dataclass
 class EdgeBoundRecord:
@@ -92,25 +96,6 @@ def _correlation_bound(S, i, j):
     return rho, np.where(sij == 0.0, 0.0, np.where(np.abs(rho) >= 1.0, np.nan, bound))
 
 
-def variogram_edge_bound(d, r, sill=10.0):
-    """Joint-model weight bound for an exponential-variogram covariance, as a
-    function of vertex distance: 1 / (sill * (e^(d/r) - e^(-d/r)))."""
-    d = np.asarray(d, dtype=float)
-    x = d / r
-    with np.errstate(divide="ignore"):
-        out = 1.0 / (sill * (np.exp(x) - np.exp(-x)))
-    return out if out.ndim else float(out)
-
-
-def baseline_variogram_edge_bound(d, r, sill=10.0):
-    """Baseline (combinatorial-Laplacian) weight bound 1/h for the same
-    covariance: 1 / (2 sill (1 - e^(-d/r))); unbounded (inf) at d = 0."""
-    d = np.asarray(d, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = 1.0 / (2.0 * sill * (1.0 - np.exp(-d / r)))
-    return out if out.ndim else float(out)
-
-
 def screen_edges(S):
     """The pair set that can carry weight at a joint optimum, the pairs of
     :func:`covgraph.graphs.all_pairs` with S_ij > 0, in its form and order.
@@ -146,7 +131,7 @@ def _bound_columns(graph, S, tol):
     return i, j, w, rho, bound, applicable, violated, np.where(violated, w - bound, 0.0)
 
 
-def bound_report(result_or_graph, S, tol=1e-8) -> BoundReport:
+def bound_report(result_or_graph, S, tol=BOUND_TOL) -> BoundReport:
     """Check every stored edge of a joint result against its weight bound."""
     columns = _bound_columns(*_inputs(result_or_graph, S), tol)
     records = [EdgeBoundRecord(*row) for row in zip(*(c.tolist() for c in columns))]
@@ -189,7 +174,7 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     )
 
 
-def trim_violations(result, S, tol=1e-8):
+def trim_violations(result, S, tol=BOUND_TOL):
     """Zero out bound-violating edges of a joint result.
 
     Returns ``(trimmed_result, n_trimmed)``; the trimmed result carries a

@@ -5,6 +5,8 @@ The mean pairwise distance of uniform points in the unit square has the
 known value (2 + sqrt(2) + 5*asinh(1)) / 15 ~= 0.5214; a seeded Monte-Carlo
 average must reproduce it.
 """
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from covgraph import (
     GraphValidationError,
     LearnConfig,
     VariogramSpec,
+    baseline_variogram_edge_bound,
     bound_curves,
     build_graph,
     compute_metrics,
@@ -19,6 +22,7 @@ from covgraph import (
     run_experiment,
     sample_locations,
     variogram_covariance,
+    variogram_edge_bound,
 )
 from covgraph.learn import LearnResult
 
@@ -286,3 +290,24 @@ class TestBoundCurves:
             joint = curves[f"bound_proposed_r{r}"][1:]
             base = curves[f"bound_baseline_r{r}"][1:]
             assert np.all(joint < base)
+
+
+class TestVariogramBounds:
+    """The closed-form bounds take their sill default and their parameter
+    checks from :class:`VariogramSpec`."""
+
+    @pytest.mark.parametrize("function", [bound_curves, variogram_edge_bound, baseline_variogram_edge_bound])
+    def test_sill_default_is_the_spec_default(self, function):
+        assert inspect.signature(function).parameters["sill"].default == VariogramSpec.sill
+        assert VariogramSpec().sill == VariogramSpec.sill
+
+    @pytest.mark.parametrize("bound", [variogram_edge_bound, baseline_variogram_edge_bound])
+    @pytest.mark.parametrize(
+        "r, sill, message",
+        [(0.0, 10.0, "range"), (-1.0, 10.0, "range"), (float("nan"), 10.0, "range"),
+         (0.1, 0.0, "sill"), (0.1, -10.0, "sill")],
+    )
+    def test_invalid_variogram_rejected(self, bound, r, sill, message):
+        # A negative range or sill once gave a negative bound, and r = 0 gave 0.0.
+        with pytest.raises(GraphValidationError, match=f"variogram {message} must be positive"):
+            bound(0.1, r, sill)

@@ -1,5 +1,10 @@
-"""End-to-end command-line tests, driven in-process through main(argv)."""
+"""End-to-end command-line tests, driven in-process through main(argv),
+and once as ``python -m covgraph.cli``."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +155,47 @@ class TestLearn:
         assert "joint method only" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_given_start_reads_the_init_graph(self, tmp_path, synth_files, monkeypatch):
+        cov, pts = synth_files
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run("learn", "--cov", str(cov), "--points", str(pts), "--out", str(first)) == 0
+        configs = []
+
+        def recording_learn(S, config):
+            configs.append(config)
+            return learn(S, config)
+
+        monkeypatch.setattr("covgraph.cli.learn", recording_learn)
+        assert run("learn", "--cov", str(cov), "--init", "given", "--init-graph", str(first),
+                   "--out", str(second)) == 0
+        start = cio.read_graph_json(first)
+        assert configs[0].init == "given"
+        assert configs[0].init_weights == {(i, j): w for i, j, w in start.edges}
+        again = cio.read_graph_json(second)
+        assert json.loads((tmp_path / "second.meta.json").read_text())["converged"] is True
+        assert [e[:2] for e in again.edges] == [e[:2] for e in start.edges]
+        np.testing.assert_allclose(again.w, start.w, rtol=1e-6)
+
+    @pytest.mark.parametrize("init", [(), ("--init", "uniform"), ("--init", "kernel")])
+    def test_init_graph_needs_a_given_start(self, tmp_path, synth_files, capsys, init):
+        # With the default "auto" the graph was once ignored without a word.
+        cov, pts = synth_files
+        start, out = tmp_path / "start.json", tmp_path / "g.json"
+        assert run("learn", "--cov", str(cov), "--method", "baseline", "--out", str(start)) == 0
+        assert run("learn", "--cov", str(cov), "--points", str(pts), *init, "--init-graph", str(start),
+                   "--out", str(out)) == 1
+        assert "--init-graph requires --init given" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_init_value_needs_a_uniform_start(self, tmp_path, synth_files, capsys):
+        # With points, "auto" picks the kernel start, which once dropped the value.
+        cov, pts = synth_files
+        out = tmp_path / "g.json"
+        assert run("learn", "--cov", str(cov), "--points", str(pts), "--init-value", "0.3",
+                   "--out", str(out)) == 1
+        assert "init_value applies to init='uniform' only, not 'kernel'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_covariance_file(self, tmp_path, capsys):
         status = run("learn", "--cov", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "g.json"))
@@ -280,6 +326,7 @@ class TestVerify:
         ["--out-bounds", "bounds.json"],
         ["--bounds-csv", "bounds.csv"],
         ["--trim", "--out-graph", "trimmed.json"],
+        ["--bound-tol", "1e-3"],
     ])
     def test_bound_flags_reject_baseline_graph(self, tmp_path, baseline, capsys, flags):
         cov, graph_path = baseline
@@ -508,3 +555,22 @@ def test_stdout_matches_output_file(tmp_path, synth_files, capsys, command, out_
         # Wall time differs between the two runs; every other column may not.
         written, printed = _without_time_column(written), _without_time_column(printed)
     assert printed == written
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # Without a __main__ guard, ``python -m covgraph.cli`` exited 0 and did nothing.
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "covgraph.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    synth = cli("synth", "--n", "4", "--range", "0.3", "--seed", "1", "--out-cov", "cov.csv")
+    assert synth.returncode == 0, synth.stderr
+    assert cio.read_covariance_csv(tmp_path / "cov.csv").n == 4
+    missing = cli("learn", "--cov", "nope.csv", "--out", "g.json")
+    assert missing.returncode == 1
+    assert "nope.csv" in missing.stderr
+    assert not (tmp_path / "g.json").exists()

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covgraph import GraphValidationError, build_graph, laplacian, learn_joint
+from covgraph import GraphValidationError, LearnConfig, build_graph, laplacian, learn_joint, trim_violations
+from covgraph.learn import learn
 from covgraph import io as cio
 from covgraph.graphs import pairwise_distances
 from _support import kernel_spd_covariance
@@ -193,6 +194,50 @@ class TestMetaSidecar:
         assert data["newton_rounds"] == result.newton_rounds > 0
         assert data["cg_iterations"] == result.cg_iterations >= result.newton_rounds
         assert data["failed_line_searches"] == result.failed_line_searches
+
+
+# The sidecar's keys, source fields and casts as the writer once listed them
+# by hand; the writer now derives them from LearnResult, byte for byte.
+LISTED_META = (
+    ("objective", "objective", float),
+    ("epochs", "epochs_run", int),
+    ("converged", "converged", bool),
+    ("wall_time_s", "wall_time_seconds", float),
+    ("max_refresh_drift", "max_refresh_drift", float),
+    ("singularity_clips", "singularity_clips", int),
+    ("protocol", "protocol", str),
+    ("kkt_residual", "kkt_residual", float),
+    ("duality_gap", "duality_gap", float),
+    ("newton_rounds", "newton_rounds", int),
+    ("cg_iterations", "cg_iterations", int),
+    ("failed_line_searches", "failed_line_searches", int),
+)
+
+
+class TestMetaSidecarBytes:
+    @staticmethod
+    def assert_listed_bytes(tmp_path, result):
+        path = tmp_path / "g.meta.json"
+        cio.write_learn_meta_json(path, result)
+        listed = {key: cast(getattr(result, name)) for key, name, cast in LISTED_META}
+        assert path.read_text() == json.dumps(listed, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "method, protocol, max_epochs",
+        [("joint", "optimum", 1000), ("joint", "paper", 1000), ("baseline", "optimum", 1000),
+         ("baseline", "paper", 1000), ("joint", "optimum", 2)],
+    )
+    def test_learned_sidecar_matches_the_listed_keys(self, tmp_path, method, protocol, max_epochs):
+        config = LearnConfig(method=method, protocol=protocol, max_epochs=max_epochs)
+        result = learn(kernel_spd_covariance(5, seed=3), config)
+        assert result.converged == (max_epochs > 2)
+        self.assert_listed_bytes(tmp_path, result)
+
+    def test_trimmed_sidecar_matches_the_listed_keys(self, tmp_path):
+        S = kernel_spd_covariance(5, seed=3)
+        trimmed, n_trimmed = trim_violations(learn_joint(S), S, tol=-1e-2)
+        assert n_trimmed > 0
+        self.assert_listed_bytes(tmp_path, trimmed)
 
 
 class TestReportsAndTables:

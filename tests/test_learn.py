@@ -5,6 +5,7 @@ Oracles: the closed-form two-node optimum (the unconstrained stationary
 point S^{-1} is feasible there), a planted-graph self-consistency check for
 the baseline, and an independent projected-gradient minimizer.
 """
+import re
 import warnings
 from dataclasses import replace
 
@@ -387,6 +388,13 @@ class TestInitModes:
         with pytest.raises(GraphValidationError, match="non-integer"):
             covgraph.learn._initial_weights(3, *all_pairs(3), config)
 
+    @pytest.mark.parametrize("key", [(0, 1, 2), "ab"])
+    def test_given_init_rejects_a_key_that_is_not_a_pair(self, key):
+        # Both once raised a bare ValueError from the endpoint array.
+        config = LearnConfig(init="given", init_weights={(1, 2): 0.2, key: 0.5})
+        with pytest.raises(GraphValidationError, match=re.escape(f"init weight key {key!r} is not an (i, j) pair")):
+            covgraph.learn._initial_weights(3, *all_pairs(3), config)
+
     def test_given_init_reads_keys_in_either_order(self):
         config = LearnConfig(init="given", init_weights={(1, 0): 0.3, (2, 1): 0.2})
         w0 = covgraph.learn._initial_weights(3, *all_pairs(3), config)
@@ -426,6 +434,16 @@ class TestConfigValidation:
     def test_bad_epochs(self):
         with pytest.raises(GraphValidationError):
             LearnConfig(max_epochs=0)
+
+    @pytest.mark.parametrize("init", ["kernel", "given"])
+    def test_init_value_needs_a_uniform_start(self, init):
+        with pytest.raises(GraphValidationError, match=f"init_value applies to init='uniform' only, not '{init}'"):
+            LearnConfig(init=init, init_value=0.3)
+
+    @pytest.mark.parametrize("init", ["uniform", "kernel"])
+    def test_init_weights_need_a_given_start(self, init):
+        with pytest.raises(GraphValidationError, match=f"init_weights applies to init='given' only, not '{init}'"):
+            LearnConfig(init=init, init_weights={(0, 1): 0.5})
 
     def test_screening_rejected_for_baseline(self):
         # Screening drops the pairs with S_ij <= 0, where baseline optima

@@ -5,6 +5,7 @@ The two-node problem is the sharpness witness: its learned weight must meet
 the correlation bound with equality.
 """
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -30,6 +31,7 @@ from covgraph import (
     variogram_edge_bound,
 )
 from covgraph.learn import KKT_EXIT
+from covgraph.verify import BOUND_TOL
 from _support import (
     assert_pair_set,
     edge_weight_map,
@@ -289,6 +291,16 @@ class TestTrim:
             4, [(i, j) for i, j, _ in g.edges], g.w, g.q, S.entries
         )
         assert trimmed.objective == pytest.approx(expected)
+
+    def test_trim_removes_what_the_report_flags_at_the_default_tolerance(self):
+        for check in (bound_report, trim_violations):
+            assert inspect.signature(check).parameters["tol"].default == BOUND_TOL
+        S = kernel_spd_covariance(4, seed=17)
+        broken, _ = self._with_violation(S, learn_joint(S))
+        flagged = {(rec.i, rec.j) for rec in bound_report(broken, S).records if rec.violated}
+        trimmed, count = trim_violations(broken, S)
+        assert count == len(flagged) == 1
+        assert set(edge_weight_map(broken.graph)) - set(edge_weight_map(trimmed.graph)) == flagged
 
     def test_trimmed_result_carries_no_certificate(self):
         # The run's residual and gap belong to the untrimmed graph.
