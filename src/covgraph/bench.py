@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs, pairwise_distances
+from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs, as_count, pairwise_distances
 from .learn import LearnConfig, kernel_weights, learn
 from .solver import SingularModelError, above_floor
 
@@ -92,11 +92,10 @@ class ExperimentTable:
 
 
 def sample_locations(n, seed) -> SpatialSample:
-    """Draw n i.i.d. uniform locations in [0, 1]^2."""
-    if n < 2:
-        raise GraphValidationError(f"need at least 2 locations, got {n}")
+    """Draw n i.i.d. uniform locations in [0, 1]^2; n is an int >= 2."""
+    n = as_count(n, "location count", 2)
     rng = np.random.default_rng(seed)
-    return SpatialSample(points=_frozen_array(rng.random((int(n), 2))))
+    return SpatialSample(points=_frozen_array(rng.random((n, 2))))
 
 
 def _points_of(sample_or_points) -> np.ndarray:
@@ -205,12 +204,12 @@ def run_experiment(
     averages, with one warning per (method, range) giving their count. Rows
     are emitted baseline-first, ranges in the given order. ``parallel`` > 1
     runs trials in worker processes; results are merged in deterministic
-    trial order either way. An empty ``ranges`` or ``methods``, or an
-    unknown method, raises :class:`GraphValidationError` before any trial
-    runs.
+    trial order either way. Empty ``ranges`` or ``methods``, an unknown
+    method, and counts that are not ints (n >= 2, trials and parallel >= 1,
+    base_seed >= 0) raise :class:`GraphValidationError` before any trial runs.
     """
-    if trials < 1:
-        raise GraphValidationError("trials must be at least 1")
+    trials, n = as_count(trials, "trials", 1), as_count(n, "n", 2)
+    base_seed, parallel = as_count(base_seed, "base_seed", 0), as_count(parallel, "parallel", 1)
     if len(ranges) == 0 or len(methods) == 0:
         raise GraphValidationError("ranges and methods must not be empty")
     template = config or LearnConfig()
@@ -219,12 +218,12 @@ def run_experiment(
     # Cell c holds tasks and results c * trials to (c + 1) * trials.
     cells = [(method, r) for method in methods for r in ranges]
     tasks = [
-        (method, float(r), int(n), int(base_seed) + k, configs[method])
+        (method, float(r), n, base_seed + k, configs[method])
         for method, r in cells
         for k in range(trials)
     ]
 
-    if parallel and parallel > 1:
+    if parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_attempt_trial, tasks))
     else:
@@ -271,15 +270,13 @@ def bound_curves(ranges, sill=VariogramSpec.sill, d_max=1.5, steps=151):
     per range, keyed ``bound_proposed_r{r}`` and ``bound_baseline_r{r}``;
     values at d = 0 are infinite. ``ranges`` must not be empty, every range
     must give a valid :class:`VariogramSpec` with ``sill``, ``d_max`` must
-    be positive and finite and ``steps`` at least 1.
+    be positive and finite and ``steps`` an int of at least 1.
     """
     if len(ranges) == 0:
         raise GraphValidationError("ranges must not be empty")
     if not (np.isfinite(d_max) and d_max > 0):
         raise GraphValidationError(f"d_max must be positive and finite, got {d_max!r}")
-    if steps < 1:
-        raise GraphValidationError(f"steps must be at least 1, got {steps!r}")
-    d = np.linspace(0.0, float(d_max), int(steps))
+    d = np.linspace(0.0, float(d_max), as_count(steps, "steps", 1))
     curves = {}
     for r in ranges:
         curves[f"bound_proposed_r{r:g}"] = variogram_edge_bound(d, r, sill)

@@ -87,18 +87,14 @@ def _cmd_learn(args):
     result = learn(S, config)
     io.write_graph_json(args.out, result.graph)
     io.write_learn_meta_json(io.meta_path_for(args.out), result)
-    if not result.converged:
-        residual = f"{result.kkt_residual:.3e}"
+    residual = f"{result.kkt_residual:.3e}"
+    if result.stop == "stalled":
+        print(f"warning: the KKT residual stalled at {residual}, above {KKT_EXIT:g}", file=sys.stderr)
+    elif result.stop == "max_epochs":
+        why = f"the KKT residual reached {KKT_EXIT:g} (it is {residual})"
         if result.protocol == "paper":
             why = f"an epoch changed the objective by less than --tol {config.stop_tol:g}"
-        elif len(result.history) - 1 >= config.max_epochs:
-            why = f"the KKT residual reached {KKT_EXIT:g} (it is {residual})"
-        else:
-            why = None
-        if why:
-            print(f"warning: stopped at max_epochs={config.max_epochs} before {why}", file=sys.stderr)
-        else:
-            print(f"warning: the KKT residual stalled at {residual}, above {KKT_EXIT:g}", file=sys.stderr)
+        print(f"warning: stopped at max_epochs={config.max_epochs} before {why}", file=sys.stderr)
     return 0
 
 

@@ -23,6 +23,14 @@ def _frozen_array(values, dtype=float):
     return a
 
 
+def as_count(value, name, minimum, error=GraphValidationError) -> int:
+    """``value`` as an int of at least ``minimum``. A numpy integer passes;
+    a bool, or a number of any other type, raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Weighted undirected graph with optional vertex importances.
@@ -72,9 +80,7 @@ def build_graph(n, edges, q=None, q_min=None) -> Graph:
     out-of-range index, a non-finite or a negative weight (checked in that
     order), then the first duplicate, then an importance below the floor.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise GraphValidationError(f"vertex count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = as_count(n, "vertex count", 1)
 
     rows = np.asarray(edges, dtype=float)
     rows = rows.reshape(0, 3) if rows.size == 0 else rows

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphValidationError, all_pairs, as_covariance, build_graph, pairwise_distances
+from .graphs import Graph, GraphValidationError, all_pairs, as_count, as_covariance, build_graph, pairwise_distances
 from .solver import (
     SolverState,
     certificate,
@@ -163,7 +163,8 @@ class LearnConfig:
     ``"paper"`` (the paper's objective-change stop); the module docstring
     describes both. ``stop_tol`` applies to ``"paper"`` alone. ``max_epochs``
     caps the epochs of ``"paper"`` and the warm epochs plus Newton rounds
-    of ``"optimum"``, whether or not a round ran its epoch.
+    of ``"optimum"``, whether or not a round ran its epoch. ``q_min`` is an
+    absolute floor, in 1/variance units: it does not scale with ``S``.
     """
 
     method: str = "joint"
@@ -190,8 +191,7 @@ class LearnConfig:
             raise GraphValidationError(f"init_weights applies to init='given' only, not {self.init!r}")
         if not self.stop_tol > 0:
             raise GraphValidationError("stop_tol must be positive")
-        if self.max_epochs < 1:
-            raise GraphValidationError("max_epochs must be at least 1")
+        as_count(self.max_epochs, "max_epochs", 1)
         if not self.q_min > 0:
             raise GraphValidationError("q_min must be positive")
         if self.screen and self.method == "baseline":
@@ -213,10 +213,10 @@ class LearnResult:
     epoch, before the closing refresh, so its last digits can differ. The
     opening clamp of an ``"optimum"`` run is not a capped step and has no
     entry: ``history[0]`` is the objective at the start weights, before it.
-    ``converged`` is True only when the protocol's stop criterion was met
-    (KKT residual at most ``KKT_EXIT``, or an epoch change below
-    ``stop_tol``); a run stopped by ``max_epochs``, or by a residual that
-    stalled above ``KKT_EXIT``, reports False.
+    ``stop`` is how the run ended: ``"certified"`` (refreshed KKT residual
+    at most ``KKT_EXIT``, even at the cap), ``"stalled"``, ``"max_epochs"``
+    (the cap, which wins over a stall) or ``"stop_tol"`` (``"paper"``);
+    ``converged`` is ``stop in ("certified", "stop_tol")``.
     ``max_refresh_drift`` is the largest max-abs difference between the
     maintained inverse and its from-scratch recomputation over the run's
     refreshes; ``singularity_clips`` counts the baseline edge steps clipped
@@ -247,6 +247,7 @@ class LearnResult:
     newton_rounds: int = 0
     cg_iterations: int = 0
     failed_line_searches: int = 0
+    stop: str | None = None
 
 
 def epoch(state: SolverState) -> float:
@@ -311,18 +312,17 @@ def _initial_weights(n, idx_i, idx_j, config: LearnConfig) -> np.ndarray:
 
 def _paper_run(state: SolverState, config: LearnConfig):
     history = [state.objective]
-    converged = False
-    drift = 0.0
+    stop = "max_epochs"
     for _ in range(config.max_epochs):
         change = epoch(state)
         if state.epoch_counter % REFRESH_EVERY == 0:
-            drift = max(drift, refresh_phi(state))
+            refresh_phi(state)
         history.append(state.objective)
         if abs(change) < config.stop_tol:
-            converged = True
+            stop = "stop_tol"
             break
-    drift = max(drift, refresh_phi(state))
-    return history, converged, drift, certificate(state)
+    refresh_phi(state)
+    return history, stop
 
 
 def _optimum_run(state: SolverState, config: LearnConfig):
@@ -331,7 +331,6 @@ def _optimum_run(state: SolverState, config: LearnConfig):
     for _ in range(min(WARM_EPOCHS, config.max_epochs)):
         epoch(state)
         history.append(state.objective)
-    drift = 0.0
     best, lowest, stale = math.inf, math.inf, 0
     while True:
         capped = len(history) - 1 >= config.max_epochs
@@ -343,12 +342,12 @@ def _optimum_run(state: SolverState, config: LearnConfig):
         stalled = stale >= STALL_ROUNDS
         if capped or stalled or residual <= KKT_SETTLE:
             # The exit is decided on a refreshed phi.
-            drift = max(drift, refresh_phi(state))
+            refresh_phi(state)
             history[-1] = state.objective
-            exit_check = certificate(state)
-            converged = exit_check[0] <= KKT_EXIT
-            if converged or capped or stalled:
-                return history, converged, drift, exit_check
+            if certificate(state)[0] <= KKT_EXIT:
+                return history, "certified"
+            if capped or stalled:
+                return history, "max_epochs" if capped else "stalled"
         # A full step has found the active set (the local regime of
         # projected Newton): its weights need no sweep, and its phi and
         # objective are exact for the next certificate.
@@ -357,6 +356,7 @@ def _optimum_run(state: SolverState, config: LearnConfig):
         history.append(state.objective)
 
 
+# Each run returns its history and its LearnResult.stop, on a refreshed phi.
 _RUNS = {"optimum": _optimum_run, "paper": _paper_run}
 
 
@@ -384,7 +384,8 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
 
     start = time.perf_counter()
     state = init_state(cov, idx_i, idx_j, w0, q0=q0, q_min=q_min)
-    history, converged, drift, (kkt_residual, duality_gap) = _RUNS[config.protocol](state, config)
+    history, stop = _RUNS[config.protocol](state, config)
+    kkt_residual, duality_gap = certificate(state)
     wall = time.perf_counter() - start
 
     edges = np.column_stack((state.idx_i, state.idx_j, state.w))[state.w > 0]
@@ -393,10 +394,10 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
         graph=graph,
         objective=state.objective,
         epochs_run=state.epoch_counter,
-        converged=converged,
+        converged=stop in ("certified", "stop_tol"),
         wall_time_seconds=wall,
         history=history,
-        max_refresh_drift=drift,
+        max_refresh_drift=state.max_refresh_drift,
         singularity_clips=state.singularity_clips,
         protocol=config.protocol,
         kkt_residual=kkt_residual,
@@ -404,6 +405,7 @@ def learn(S, config: LearnConfig | None = None) -> LearnResult:
         newton_rounds=state.newton_rounds,
         cg_iterations=state.cg_iterations,
         failed_line_searches=state.failed_line_searches,
+        stop=stop,
     )
 
 

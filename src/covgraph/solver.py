@@ -187,11 +187,10 @@ class SolverState:
         batched = self.n >= _MIN_BATCH_N
         self._pending = np.empty((_BATCH_SIZE, self.n)) if batched else None
         self._coef = np.empty(_BATCH_SIZE) if batched else None
-        self._k = 0
-        self._phi = None
+        self.phi = None
         self.objective = None
         self.epoch_counter = 0
-        self.updates_since_refresh = 0
+        self.max_refresh_drift = 0.0
         self.singularity_clips = 0
         self.newton_rounds = 0
         self.cg_iterations = 0
@@ -205,8 +204,10 @@ class SolverState:
 
     @phi.setter
     def phi(self, value):
+        # A phi set from scratch has no update pending or applied since.
         self._phi = value
         self._k = 0
+        self.updates_since_refresh = 0
 
     @property
     def m(self) -> int:
@@ -360,17 +361,16 @@ def evaluate_objective(state) -> float:
 
 
 def refresh_phi(state) -> float:
-    """Recompute phi by direct dense inversion; returns the max-abs drift.
-
-    Also re-evaluates the cached objective, so accumulated rounding from
-    long runs of rank-one updates is flushed.
-    """
+    """Recompute phi by direct dense inversion, and the cached objective,
+    flushing the rounding of long runs of rank-one updates. Returns the
+    max-abs drift of phi and keeps the run's largest on
+    ``state.max_refresh_drift``."""
     L = state.laplacian()
     phi = model_inverse(L, state.q)
     drift = 0.0 if state.phi is None else float(np.max(np.abs(phi - state.phi), initial=0.0))
+    state.max_refresh_drift = max(state.max_refresh_drift, drift)
     state.phi = phi
     state.objective = model_objective(L, state.q, state.S)
-    state.updates_since_refresh = 0
     return drift
 
 
@@ -607,7 +607,6 @@ def _try_point(state, w, q, accept) -> bool:
         state.q[:] = q
     state.phi = phi
     state.objective = objective
-    state.updates_since_refresh = 0
     return True
 
 

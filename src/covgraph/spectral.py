@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _frozen_array
+from .graphs import _frozen_array, as_count
 from .solver import model_inverse
 
 _SYM_TOL = 1e-10
@@ -127,13 +127,12 @@ def sample_stationary_signals(spectrum: Spectrum, psd, count, seed) -> np.ndarra
 
     Each signal is U * sqrt(gamma) * z with z standard normal, so the
     model covariance is U diag(gamma) U^T. Output is (count, n), one signal
-    per row, fully determined by ``seed``.
+    per row, fully determined by ``seed``; ``count`` is an int >= 1.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = as_count(count, "count", 1, ValueError)
     gamma = np.asarray(psd(spectrum.lambdas), dtype=float)
     if gamma.shape != spectrum.lambdas.shape or np.any(gamma < 0):
         raise ValueError("psd must map the eigenvalues to nonnegative variances")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((spectrum.n, int(count)))
+    z = rng.standard_normal((spectrum.n, count))
     return (spectrum.modes @ (np.sqrt(gamma)[:, None] * z)).T

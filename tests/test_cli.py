@@ -125,6 +125,26 @@ class TestLearn:
         err = capsys.readouterr().err
         assert err.startswith("warning: stopped at max_epochs=7 before the KKT residual reached ")
 
+    @pytest.mark.parametrize("synth, options, stop", [
+        (("12", "0.3", "10", "42"), ("--points", "PTS"), "certified"),
+        (("12", "0.3", "10", "42"), ("--points", "PTS", "--protocol", "paper"), "stop_tol"),
+        (("12", "0.3", "10", "42"), ("--points", "PTS", "--max-epochs", "1"), "max_epochs"),
+        (("12", "0.3", "10", "42"), ("--points", "PTS", "--protocol", "paper", "--max-epochs", "1"), "max_epochs"),
+        (("20", "0.2", "10", "8"), ("--max-epochs", "7"), "max_epochs"),
+        (("50", "1", "1e-6", "0"), ("--points", "PTS"), "stalled"),
+    ])
+    def test_sidecar_records_how_the_run_stopped(self, tmp_path, synth, options, stop):
+        # The converged runs and the three warning cases of this class.
+        cov, pts, out = tmp_path / "cov.csv", tmp_path / "pts.csv", tmp_path / "graph.json"
+        n, r, sill, seed = synth
+        assert run("synth", "--n", n, "--range", r, "--sill", sill, "--seed", seed,
+                   "--out-cov", str(cov), "--out-points", str(pts)) == 0
+        options = [str(pts) if o == "PTS" else o for o in options]
+        assert run("learn", "--cov", str(cov), *options, "--out", str(out)) == 0
+        meta = json.loads((tmp_path / "graph.meta.json").read_text())
+        assert meta["stop"] == stop
+        assert meta["converged"] is (stop in ("certified", "stop_tol"))
+
     def test_stalled_run_warns_and_exits_zero(self, tmp_path, capsys):
         # At variances of 1e-6 the residual's rounding floor lies above the
         # exit, so the run stops on a stalled residual before max_epochs.

@@ -9,11 +9,18 @@ from hypothesis import strategies as st
 from covgraph import (
     CovarianceMatrix,
     GraphValidationError,
+    LearnConfig,
     all_pairs,
     as_covariance,
+    bound_curves,
     build_graph,
+    compute_gft,
     incidence_vector,
+    joint_model_psd,
     laplacian,
+    run_experiment,
+    sample_locations,
+    sample_stationary_signals,
 )
 from covgraph.graphs import laplacian_from_pairs
 from _support import assert_pair_set
@@ -301,3 +308,43 @@ def test_pair_arrays_are_the_stored_edges():
     empty = build_graph(3, [])
     assert_pair_set((empty.idx_i, empty.idx_j), [])
     assert empty.w.shape == (0,) and empty.edges == ()
+
+
+def _signals(count):
+    spectrum = compute_gft(laplacian(build_graph(2, [(0, 1, 1.0)])), np.ones(2))
+    return sample_stationary_signals(spectrum, joint_model_psd, count, 0)
+
+
+# Every count a library call takes: the call, the count's least value and
+# the error of the module.
+COUNTS = {
+    "build_graph n": (lambda v: build_graph(v, []), 1, GraphValidationError),
+    "max_epochs": (lambda v: LearnConfig(max_epochs=v), 1, GraphValidationError),
+    "run_experiment n": (lambda v: run_experiment([0.5], n=v, trials=1), 2, GraphValidationError),
+    "trials": (lambda v: run_experiment([0.5], n=3, trials=v), 1, GraphValidationError),
+    "parallel": (lambda v: run_experiment([0.5], n=3, trials=1, parallel=v), 1, GraphValidationError),
+    "base_seed": (lambda v: run_experiment([0.5], n=3, trials=1, base_seed=v), 0, GraphValidationError),
+    "sample_locations n": (lambda v: sample_locations(v, 0), 2, GraphValidationError),
+    "steps": (lambda v: bound_curves([0.1], steps=v), 1, GraphValidationError),
+    "count": (_signals, 1, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+@pytest.mark.parametrize("value", [2.5, 3.7, 3.0, np.float64(3.0), True, False, "3", None])
+def test_counts_reject_anything_but_an_integer(name, value):
+    # A count is never truncated: a float, even an integral one, and a bool
+    # fail with the module's error before any work is done.
+    call, _, error = COUNTS[name]
+    with pytest.raises(error, match="must be an integer") as raised:
+        call(value)
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("name", COUNTS)
+@pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8])
+def test_counts_accept_python_and_numpy_integers(name, kind):
+    call, least, error = COUNTS[name]
+    call(kind(least))
+    with pytest.raises(error, match="must be an integer >= "):
+        call(least - 1)

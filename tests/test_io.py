@@ -182,9 +182,10 @@ class TestMetaSidecar:
         assert set(data) == {
             "objective", "epochs", "converged", "wall_time_s", "max_refresh_drift", "singularity_clips",
             "protocol", "kkt_residual", "duality_gap", "newton_rounds", "cg_iterations",
-            "failed_line_searches",
+            "failed_line_searches", "stop",
         }
         assert data["converged"] is True
+        assert data["stop"] == result.stop == "certified"
         assert data["protocol"] == "optimum"
         assert data["kkt_residual"] == result.kkt_residual
         assert data["duality_gap"] == result.duality_gap
@@ -197,7 +198,8 @@ class TestMetaSidecar:
 
 
 # The sidecar's keys, source fields and casts as the writer once listed them
-# by hand; the writer now derives them from LearnResult, byte for byte.
+# by hand, and the key "stop" added last; the writer derives them from
+# LearnResult, byte for byte.
 LISTED_META = (
     ("objective", "objective", float),
     ("epochs", "epochs_run", int),
@@ -211,6 +213,7 @@ LISTED_META = (
     ("newton_rounds", "newton_rounds", int),
     ("cg_iterations", "cg_iterations", int),
     ("failed_line_searches", "failed_line_searches", int),
+    ("stop", "stop", str),
 )
 
 
@@ -231,12 +234,15 @@ class TestMetaSidecarBytes:
         config = LearnConfig(method=method, protocol=protocol, max_epochs=max_epochs)
         result = learn(kernel_spd_covariance(5, seed=3), config)
         assert result.converged == (max_epochs > 2)
+        assert result.converged == (result.stop in ("certified", "stop_tol"))
         self.assert_listed_bytes(tmp_path, result)
 
     def test_trimmed_sidecar_matches_the_listed_keys(self, tmp_path):
         S = kernel_spd_covariance(5, seed=3)
-        trimmed, n_trimmed = trim_violations(learn_joint(S), S, tol=-1e-2)
+        result = learn_joint(S)
+        trimmed, n_trimmed = trim_violations(result, S, tol=-1e-2)
         assert n_trimmed > 0
+        assert trimmed.stop == result.stop == "certified"
         self.assert_listed_bytes(tmp_path, trimmed)
 
 
