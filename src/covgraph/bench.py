@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs, as_count, pairwise_distances
+from .graphs import (CovarianceMatrix, GraphValidationError, _frozen_array, all_pairs, as_count, as_real,
+                     pairwise_distances)
 from .learn import LearnConfig, kernel_weights, learn
 from .solver import SingularModelError, above_floor
 
@@ -47,10 +48,8 @@ class VariogramSpec:
     range_: float = 0.1
 
     def __post_init__(self):
-        if not self.sill > 0:
-            raise GraphValidationError("variogram sill must be positive")
-        if not self.range_ > 0:
-            raise GraphValidationError("variogram range must be positive")
+        as_real(self.sill, "variogram sill", "positive")
+        as_real(self.range_, "variogram range", "positive")
 
 
 def variogram_edge_bound(d, r, sill=VariogramSpec.sill):
@@ -92,9 +91,9 @@ class ExperimentTable:
 
 
 def sample_locations(n, seed) -> SpatialSample:
-    """Draw n i.i.d. uniform locations in [0, 1]^2; n is an int >= 2."""
+    """Draw n i.i.d. uniform locations in [0, 1]^2; n is an int >= 2, seed >= 0."""
     n = as_count(n, "location count", 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     return SpatialSample(points=_frozen_array(rng.random((n, 2))))
 
 
@@ -274,9 +273,7 @@ def bound_curves(ranges, sill=VariogramSpec.sill, d_max=1.5, steps=151):
     """
     if len(ranges) == 0:
         raise GraphValidationError("ranges must not be empty")
-    if not (np.isfinite(d_max) and d_max > 0):
-        raise GraphValidationError(f"d_max must be positive and finite, got {d_max!r}")
-    d = np.linspace(0.0, float(d_max), as_count(steps, "steps", 1))
+    d = np.linspace(0.0, as_real(d_max, "d_max", "positive"), as_count(steps, "steps", 1))
     curves = {}
     for r in ranges:
         curves[f"bound_proposed_r{r:g}"] = variogram_edge_bound(d, r, sill)

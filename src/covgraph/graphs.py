@@ -8,6 +8,7 @@ machinery here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,32 @@ def as_count(value, name, minimum, error=GraphValidationError) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def as_real(value, name, sign=None, error=GraphValidationError) -> float:
+    """``value`` as a float: a finite Python or numpy real, not a bool, and
+    also ``"positive"`` or ``"nonnegative"`` if ``sign`` names one. Anything
+    else raises ``error``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    signed = {None: True, "positive": real and value > 0, "nonnegative": real and value >= 0}[sign]
+    if not (real and math.isfinite(value) and signed):
+        raise error(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+    return float(value)
+
+
+def as_importances(q, n, q_min):
+    """``(q, q_min)`` as a new array of ``n`` finite floats, none below the
+    floor, and a positive float; a floor failure names the lowest entry."""
+    q_min = as_real(q_min, "q_min", "positive")
+    q = np.array(q, dtype=float)
+    if q.shape != (n,):
+        raise GraphValidationError(f"q must have length {n}, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise GraphValidationError("q contains non-finite entries")
+    if np.any(q < q_min):
+        bad = int(np.argmin(q))
+        raise GraphValidationError(f"importance q[{bad}]={q[bad]} is below the floor q_min={q_min}")
+    return q, q_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,17 +136,7 @@ def build_graph(n, edges, q=None, q_min=None) -> Graph:
     if (q is None) != (q_min is None):
         raise GraphValidationError("q and q_min must be provided together or both omitted")
     if q is not None:
-        q_min = float(q_min)
-        if not np.isfinite(q_min) or q_min <= 0:
-            raise GraphValidationError(f"q_min must be a positive real, got {q_min!r}")
-        q = np.asarray(q, dtype=float)
-        if q.shape != (n,):
-            raise GraphValidationError(f"q must have length {n}, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise GraphValidationError("q contains non-finite entries")
-        if np.any(q < q_min):
-            bad = int(np.argmin(q))
-            raise GraphValidationError(f"importance q[{bad}]={q[bad]} is below the floor q_min={q_min}")
+        q, q_min = as_importances(q, n, q_min)
         q = _frozen_array(q)
 
     idx_i, idx_j, w = _frozen_array(lo[order], int), _frozen_array(hi[order], int), _frozen_array(w[order])

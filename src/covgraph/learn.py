@@ -61,7 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphValidationError, all_pairs, as_count, as_covariance, build_graph, pairwise_distances
+from .graphs import (Graph, GraphValidationError, all_pairs, as_count, as_covariance, as_real, build_graph,
+                     pairwise_distances)
 from .solver import (
     SolverState,
     certificate,
@@ -153,18 +154,21 @@ class LearnConfig:
     places ``init_value`` (default 1/n) on every active pair, ``"kernel"``
     uses a Gaussian kernel of the pairwise distances of ``points`` with
     bandwidth one third of the mean distance, and ``"given"`` reads weights
-    from the ``init_weights`` mapping {(i, j): w}; either option with
-    another start is rejected. ``screen`` keeps only the pairs with S_ij > 0
+    from the ``init_weights`` mapping {(i, j): w}. Construction rejects
+    either option with another start, a kernel start without a 2-D array
+    of ``points``, a given one without ``init_weights`` and an
+    ``init_value`` that is not a nonnegative real; :func:`learn` checks
+    what needs n. ``screen`` keeps only the pairs with S_ij > 0
     (:func:`covgraph.verify.screen_edges`); that is exact for the joint
     method alone, because baseline optima put weight on nonpositive pairs
     too, so the baseline rejects it.
 
     ``protocol`` is ``"optimum"`` (certified stop, the default) or
     ``"paper"`` (the paper's objective-change stop); the module docstring
-    describes both. ``stop_tol`` applies to ``"paper"`` alone. ``max_epochs``
-    caps the epochs of ``"paper"`` and the warm epochs plus Newton rounds
-    of ``"optimum"``, whether or not a round ran its epoch. ``q_min`` is an
-    absolute floor, in 1/variance units: it does not scale with ``S``.
+    describes both. ``stop_tol`` > 0 applies to ``"paper"`` alone.
+    ``max_epochs`` caps the epochs of ``"paper"`` and the warm epochs plus
+    Newton rounds of ``"optimum"``, whether or not a round ran its epoch.
+    ``q_min`` > 0 is an absolute floor, in 1/variance units: not scaled by S.
     """
 
     method: str = "joint"
@@ -189,11 +193,16 @@ class LearnConfig:
             raise GraphValidationError(f"init_value applies to init='uniform' only, not {self.init!r}")
         if self.init_weights is not None and self.init != "given":
             raise GraphValidationError(f"init_weights applies to init='given' only, not {self.init!r}")
-        if not self.stop_tol > 0:
-            raise GraphValidationError("stop_tol must be positive")
+        if self.init_value is not None:
+            as_real(self.init_value, "init_value", "nonnegative")
+        if self.init == "kernel" and np.ndim(self.points) != 2:
+            got = "None" if self.points is None else f"shape {np.shape(self.points)}"
+            raise GraphValidationError(f"kernel init requires vertex coordinates as an (n, d) array, got {got}")
+        if self.init == "given" and self.init_weights is None:
+            raise GraphValidationError("init='given' requires init_weights")
+        as_real(self.stop_tol, "stop_tol", "positive")
         as_count(self.max_epochs, "max_epochs", 1)
-        if not self.q_min > 0:
-            raise GraphValidationError("q_min must be positive")
+        as_real(self.q_min, "q_min", "positive")
         if self.screen and self.method == "baseline":
             raise GraphValidationError("screening is exact for the joint method only")
 
@@ -215,7 +224,8 @@ class LearnResult:
     entry: ``history[0]`` is the objective at the start weights, before it.
     ``stop`` is how the run ended: ``"certified"`` (refreshed KKT residual
     at most ``KKT_EXIT``, even at the cap), ``"stalled"``, ``"max_epochs"``
-    (the cap, which wins over a stall) or ``"stop_tol"`` (``"paper"``);
+    (the cap, which wins over a stall), ``"stop_tol"`` (``"paper"``) or
+    ``"trimmed"`` (:func:`covgraph.verify.trim_violations` removed edges);
     ``converged`` is ``stop in ("certified", "stop_tol")``.
     ``max_refresh_drift`` is the largest max-abs difference between the
     maintained inverse and its from-scratch recomputation over the run's
@@ -277,23 +287,13 @@ def kernel_weights(points, idx_i, idx_j) -> np.ndarray:
 
 def _initial_weights(n, idx_i, idx_j, config: LearnConfig) -> np.ndarray:
     if config.init == "uniform":
-        value = 1.0 / n if config.init_value is None else float(config.init_value)
-        if value < 0:
-            raise GraphValidationError("uniform init weight must be nonnegative")
-        return np.full(len(idx_i), value)
+        return np.full(len(idx_i), 1.0 / n if config.init_value is None else float(config.init_value))
     if config.init == "kernel":
-        if config.points is None:
-            raise GraphValidationError("kernel init requires vertex coordinates")
         points = np.asarray(config.points, dtype=float)
         if points.shape[0] != n:
-            raise GraphValidationError(
-                f"kernel init got {points.shape[0]} locations for {n} vertices"
-            )
+            raise GraphValidationError(f"kernel init got {points.shape[0]} locations for {n} vertices")
         return kernel_weights(points, idx_i, idx_j)
-    # given
-    given = config.init_weights
-    if given is None:
-        raise GraphValidationError("init='given' requires init_weights")
+    given = config.init_weights  # init == "given"
     for key in given:
         if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(v, numbers.Real) for v in key)):
             raise GraphValidationError(f"init weight key {key!r} is not an (i, j) pair")

@@ -63,7 +63,7 @@ from math import log, log1p
 
 import numpy as np
 
-from .graphs import GraphValidationError, as_covariance, laplacian_from_pairs
+from .graphs import GraphValidationError, as_covariance, as_importances, laplacian_from_pairs
 
 # Smallest allowed determinant factor for a baseline edge update; stepping
 # past it would make L + J/n numerically singular (disconnected graph).
@@ -340,15 +340,7 @@ def init_state(S, idx_i, idx_j, w0, q0=None, q_min=None) -> SolverState:
     if np.any(~np.isfinite(w0)) or np.any(w0 < 0):
         raise GraphValidationError("initial edge weights must be finite and nonnegative")
 
-    if q0 is None:
-        q_min = None
-    else:
-        if q_min is None or not np.isfinite(q_min) or q_min <= 0:
-            raise GraphValidationError(f"q_min must be a positive real, got {q_min!r}")
-        q_min = float(q_min)
-        q0 = np.broadcast_to(np.asarray(q0, dtype=float), (n,)).copy()
-        if np.any(~np.isfinite(q0)) or np.any(q0 < q_min):
-            raise GraphValidationError("initial importances must be finite and >= q_min")
+    q0, q_min = (None, None) if q0 is None else as_importances(q0 if np.ndim(q0) else np.full(n, q0), n, q_min)
 
     state = SolverState(S, idx_i, idx_j, w0, q0, q_min)
     refresh_phi(state)

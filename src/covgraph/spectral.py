@@ -125,14 +125,14 @@ def laplacian_model_psd(lam) -> np.ndarray:
 def sample_stationary_signals(spectrum: Spectrum, psd, count, seed) -> np.ndarray:
     """Draw ``count`` zero-mean signals with uncorrelated spectral components.
 
-    Each signal is U * sqrt(gamma) * z with z standard normal, so the
-    model covariance is U diag(gamma) U^T. Output is (count, n), one signal
-    per row, fully determined by ``seed``; ``count`` is an int >= 1.
+    Each signal is U * sqrt(gamma) * z with z standard normal, so the model
+    covariance is U diag(gamma) U^T. Output is (count, n), one signal per
+    row, fully determined by ``seed``, an int >= 0; ``count`` is an int >= 1.
     """
     count = as_count(count, "count", 1, ValueError)
     gamma = np.asarray(psd(spectrum.lambdas), dtype=float)
     if gamma.shape != spectrum.lambdas.shape or np.any(gamma < 0):
         raise ValueError("psd must map the eigenvalues to nonnegative variances")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", 0, ValueError))
     z = rng.standard_normal((spectrum.n, count))
     return (spectrum.modes @ (np.sqrt(gamma)[:, None] * z)).T

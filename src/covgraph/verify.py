@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphValidationError, all_pairs, as_covariance, build_graph, laplacian
+from .graphs import GraphValidationError, all_pairs, as_covariance, as_real, build_graph, laplacian
 from .solver import above_floor, coordinate_steps, edge_cost, model_inverse, model_objective
 
 # Default tolerance of the weight-bound check: ``bound_report`` flags, and
@@ -127,7 +127,7 @@ def _bound_columns(graph, S, tol):
     i, j, w = graph.idx_i, graph.idx_j, graph.w
     rho, bound = _correlation_bound(S, i, j)
     applicable = free[i] & free[j] & ~np.isnan(bound)
-    violated = applicable & (w > bound + tol)
+    violated = applicable & (w > bound + as_real(tol, "bound tolerance"))
     return i, j, w, rho, bound, applicable, violated, np.where(violated, w - bound, 0.0)
 
 
@@ -150,6 +150,7 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     raises the error of :func:`covgraph.solver.edge_cost`, as learning does.
     """
     graph, S = _inputs(result_or_graph, S)
+    tol = as_real(tol, "tol")
     L = laplacian(graph)
     phi = model_inverse(L, graph.q)
 
@@ -165,7 +166,7 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
     m_matrix_ok = bool(np.all(off_diag <= 0.0))
 
     return KKTReport(
-        tol=float(tol),
+        tol=tol,
         max_edge_residual=max_edge,
         max_vertex_residual=max_vertex,
         complementarity_violations=violations,
@@ -177,11 +178,11 @@ def kkt_report(result_or_graph, S, tol=1e-6) -> KKTReport:
 def trim_violations(result, S, tol=BOUND_TOL):
     """Zero out bound-violating edges of a joint result.
 
-    Returns ``(trimmed_result, n_trimmed)``; the trimmed result carries a
-    recomputed objective, and its ``kkt_residual`` and ``duality_gap`` are
-    NaN (not computed), since the run's certificate was for the untrimmed
-    graph; :func:`kkt_report` checks the trimmed one. With no violations the
-    result is returned unchanged, so the operation is idempotent.
+    Returns ``(trimmed_result, n_trimmed)``. The trimmed result carries a
+    recomputed objective and ``stop="trimmed"``, so it is not ``converged``;
+    its ``kkt_residual`` and ``duality_gap`` are NaN, since the run's
+    certificate was for the untrimmed graph (:func:`kkt_report` checks the
+    trimmed one). With no violations the result is returned unchanged.
     """
     graph, S = _inputs(result, S)
     violated = _bound_columns(graph, S, tol)[6]
@@ -195,5 +196,5 @@ def trim_violations(result, S, tol=BOUND_TOL):
         # Bare Graph in, bare Graph out.
         return trimmed, n_violated
     objective = model_objective(laplacian(trimmed), trimmed.q, S)
-    uncertified = {"kkt_residual": math.nan, "duality_gap": math.nan}
+    uncertified = {"kkt_residual": math.nan, "duality_gap": math.nan, "stop": "trimmed", "converged": False}
     return dataclasses.replace(result, graph=trimmed, objective=objective, **uncertified), n_violated

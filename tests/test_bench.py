@@ -257,7 +257,8 @@ class TestBoundCurves:
 
     @pytest.mark.parametrize(
         "ranges, sill",
-        [([0.0], 10.0), ([0.1, -0.1], 10.0), ([float("nan")], 10.0), ([0.1], -10.0)],
+        [([0.0], 10.0), ([0.1, -0.1], 10.0), ([float("nan")], 10.0), ([0.1], -10.0),
+         ([float("inf")], 10.0), ([0.1], float("inf")), ([0.1], "10")],
     )
     def test_invalid_variogram_rejected(self, ranges, sill):
         with pytest.raises(GraphValidationError, match="variogram"):
@@ -273,6 +274,8 @@ class TestBoundCurves:
             ({"d_max": float("inf")}, "d_max"),
             ({"steps": 0}, "steps"),
             ({"steps": -3}, "steps"),
+            ({"d_max": "1.5"}, "d_max must be positive and finite, got '1.5'"),
+            ({"d_max": True}, "d_max must be positive and finite, got True"),
         ],
     )
     def test_invalid_grid_rejected(self, kwargs, message):
@@ -305,7 +308,8 @@ class TestVariogramBounds:
     @pytest.mark.parametrize(
         "r, sill, message",
         [(0.0, 10.0, "range"), (-1.0, 10.0, "range"), (float("nan"), 10.0, "range"),
-         (0.1, 0.0, "sill"), (0.1, -10.0, "sill")],
+         (0.1, 0.0, "sill"), (0.1, -10.0, "sill"),
+         (float("inf"), 10.0, "range"), (0.1, float("inf"), "sill"), ("0.1", 10.0, "range")],
     )
     def test_invalid_variogram_rejected(self, bound, r, sill, message):
         # A negative range or sill once gave a negative bound, and r = 0 gave 0.0.

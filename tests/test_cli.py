@@ -355,6 +355,44 @@ class TestVerify:
         assert "vertex importances" in capsys.readouterr().err
         assert not any((tmp_path / name).exists() for name in ("bounds.json", "bounds.csv", "trimmed.json"))
 
+    def test_negative_bound_tol_is_written_with_an_equals_sign(self, tmp_path, capsys):
+        # argparse reads "-1e-2" after a space as an option name.
+        cov, graph, trimmed = tmp_path / "cov.csv", tmp_path / "graph.json", tmp_path / "trimmed.json"
+        cio.write_covariance_csv(cov, kernel_spd_covariance(5, seed=3))
+        assert run("learn", "--cov", str(cov), "--out", str(graph)) == 0
+        verify = ("verify", "--graph", str(graph), "--cov", str(cov), "--trim", "--out-graph", str(trimmed))
+        assert run(*verify, "--bound-tol", "-1e-2") == 1
+        assert "expected one argument" in capsys.readouterr().err
+        assert run(*verify, "--bound-tol=-1e-2") == 0
+        assert "trimmed 5 bound-violating edge(s)" in capsys.readouterr().err
+        assert cio.read_graph_json(trimmed).m == cio.read_graph_json(graph).m - 5
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("synth --n 5 --range inf --seed 0 --out-cov {out}", "variogram range must be positive and finite, got inf"),
+    ("synth --n 5 --range 0.1 --seed -1 --out-cov {out}", "seed must be an integer >= 0, got -1"),
+    ("learn --cov {cov} --protocol paper --tol inf --out {out}", "stop_tol must be positive and finite, got inf"),
+    ("learn --cov {cov} --qmin nan --out {out}", "q_min must be positive and finite, got nan"),
+    ("learn --cov {cov} --init-value -1 --out {out}", "init_value must be nonnegative and finite, got -1.0"),
+    ("verify --graph {graph} --cov {cov} --tol nan", "tol must be finite, got nan"),
+    ("verify --graph {graph} --cov {cov} --bound-tol nan", "bound tolerance must be finite, got nan"),
+    ("verify --graph {text_floor} --cov {cov}", "q_min must be positive and finite, got '0.0001'"),
+    ("sample --graph {graph} --count 3 --seed -1", "seed must be an integer >= 0, got -1"),
+])
+def test_invalid_value_exits_one_and_names_it(tmp_path, synth_files, capsys, argv, message):
+    # Each of these once exited 0 with a degenerate output or a wrong
+    # verdict, or failed with an error that did not name the option.
+    cov, _ = synth_files
+    paths = {"cov": cov, "graph": tmp_path / "graph.json", "text_floor": tmp_path / "text.json",
+             "out": tmp_path / "out"}
+    assert run("learn", "--cov", str(cov), "--out", str(paths["graph"])) == 0
+    data = json.loads(paths["graph"].read_text())
+    paths["text_floor"].write_text(json.dumps({**data, "q_min": str(data["q_min"])}))
+    capsys.readouterr()
+    assert run(*(arg.format(**paths) for arg in argv.split())) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not paths["out"].exists()
+
 
 class TestRoundTrip:
     def test_learn_output_reproduces_identically_through_tools(self, tmp_path, synth_files):
@@ -451,7 +489,9 @@ class TestExperimentAndBounds:
         assert run("experiment", "--methods", "magic", "--trials", "1", "--n", "5") == 1
         assert "unknown method" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [("--ranges", "0"), ("--ranges=0.1,-0.1",), ("--sill", "-10")])
+    @pytest.mark.parametrize(
+        "argv", [("--ranges", "0"), ("--ranges=0.1,-0.1",), ("--sill", "-10"), ("--sill", "inf"), ("--ranges", "inf")]
+    )
     def test_bounds_rejects_invalid_variogram(self, tmp_path, capsys, argv):
         out = tmp_path / "curves.csv"
         assert run("bounds", *argv, "--out", str(out)) == 1

@@ -23,6 +23,7 @@ from covgraph import (
     sample_stationary_signals,
 )
 from covgraph.graphs import laplacian_from_pairs
+from covgraph.solver import init_state
 from _support import assert_pair_set
 from oracles import assemble_model_matrix, build_graph_loop, laplacian_add_at
 
@@ -310,13 +311,13 @@ def test_pair_arrays_are_the_stored_edges():
     assert empty.w.shape == (0,) and empty.edges == ()
 
 
-def _signals(count):
+def _signals(count, seed=0):
     spectrum = compute_gft(laplacian(build_graph(2, [(0, 1, 1.0)])), np.ones(2))
-    return sample_stationary_signals(spectrum, joint_model_psd, count, 0)
+    return sample_stationary_signals(spectrum, joint_model_psd, count, seed)
 
 
-# Every count a library call takes: the call, the count's least value and
-# the error of the module.
+# Every count a library call takes, seeds included: the call, the count's
+# least value and the error of the module.
 COUNTS = {
     "build_graph n": (lambda v: build_graph(v, []), 1, GraphValidationError),
     "max_epochs": (lambda v: LearnConfig(max_epochs=v), 1, GraphValidationError),
@@ -327,6 +328,8 @@ COUNTS = {
     "sample_locations n": (lambda v: sample_locations(v, 0), 2, GraphValidationError),
     "steps": (lambda v: bound_curves([0.1], steps=v), 1, GraphValidationError),
     "count": (_signals, 1, ValueError),
+    "sample_locations seed": (lambda v: sample_locations(3, v), 0, GraphValidationError),
+    "signals seed": (lambda v: _signals(1, v), 0, ValueError),
 }
 
 
@@ -348,3 +351,25 @@ def test_counts_accept_python_and_numpy_integers(name, kind):
     call(kind(least))
     with pytest.raises(error, match="must be an integer >= "):
         call(least - 1)
+
+
+# Both calls that take importances with their floor, checked by one rule.
+IMPORTANCES = {
+    "build_graph": lambda q, q_min: build_graph(3, [], q=q, q_min=q_min),
+    "init_state": lambda q, q_min: init_state(np.eye(3), *all_pairs(3), np.ones(3), q0=q, q_min=q_min),
+}
+
+
+@pytest.mark.parametrize("name", IMPORTANCES)
+@pytest.mark.parametrize("q, q_min, message", [
+    ([1.0, 1.0, 1.0], "0.01", "q_min must be positive and finite, got '0.01'"),
+    ([1.0, 1.0, 1.0], np.inf, "q_min must be positive and finite, got inf"),
+    ([1.0, 1.0, 1.0], 0.0, "q_min must be positive and finite, got 0.0"),
+    ([1.0, 1.0, 1.0], True, "q_min must be positive and finite, got True"),
+    ([1.0, 1.0], 0.01, "q must have length 3, got shape (2,)"),
+    ([1.0, np.nan, 1.0], 0.01, "q contains non-finite entries"),
+    ([0.005, 1.0, 0.001], 0.01, "importance q[2]=0.001 is below the floor q_min=0.01"),
+])
+def test_importances_are_checked_against_their_floor(name, q, q_min, message):
+    with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
+        IMPORTANCES[name](q, q_min)

@@ -5,9 +5,14 @@ Oracles: the closed-form two-node optimum (the unconstrained stationary
 point S^{-1} is feasible there), a planted-graph self-consistency check for
 the baseline, and an independent projected-gradient minimizer.
 """
+import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,6 +450,27 @@ class TestConfigValidation:
         with pytest.raises(GraphValidationError, match=f"init_weights applies to init='given' only, not '{init}'"):
             LearnConfig(init=init, init_weights={(0, 1): 0.5})
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"q_min": "1e-4"}, "q_min must be positive and finite, got '1e-4'"),
+            ({"q_min": np.inf}, "q_min must be positive and finite"),
+            ({"q_min": True}, "q_min must be positive and finite"),
+            ({"stop_tol": np.inf}, "stop_tol must be positive and finite"),
+            ({"stop_tol": np.nan}, "stop_tol must be positive and finite"),
+            ({"init_value": -1.0}, "init_value must be nonnegative and finite"),
+            ({"init_value": np.nan}, "init_value must be nonnegative and finite"),
+            ({"init": "kernel"}, "vertex coordinates as an (n, d) array, got None"),
+            ({"init": "kernel", "points": np.zeros(6)}, "vertex coordinates as an (n, d) array, got shape (6,)"),
+            ({"init": "given"}, "init='given' requires init_weights"),
+        ],
+    )
+    def test_bad_value_rejected_at_construction(self, kwargs, message):
+        # Each was once accepted, or failed late with a bare TypeError or
+        # IndexError inside learn.
+        with pytest.raises(GraphValidationError, match=re.escape(message)):
+            LearnConfig(**kwargs)
+
     def test_screening_rejected_for_baseline(self):
         # Screening drops the pairs with S_ij <= 0, where baseline optima
         # can carry weight.
@@ -574,6 +600,41 @@ class TestCertifiedOptimum:
                     assert kkt_report(result, S).passed, (method, r, config.init)
                     supports.append({(i, j) for i, j, w in result.graph.edges if w > EDGE_PRESENCE_TOL})
                 assert supports[0] == supports[1], (method, r)
+
+    def test_blas_thread_count_keeps_the_certified_support(self):
+        # BLAS rounds differently with more threads, so the learned bytes
+        # differ; the certified optimum, and so its support, does not.
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", JOINT_LARGE_LEARN], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            runs.append(json.loads(done.stdout))
+        for run in runs:
+            assert run["stop"] == "certified" and run["kkt_passed"], run
+        assert runs[0]["support"] == runs[1]["support"]
+        gap = max(run["duality_gap"] for run in runs)
+        assert abs(runs[0]["objective"] - runs[1]["objective"]) <= gap
+
+
+# The joint-large problem (n = 200, trial 0, r = 1, kernel start), learned
+# and verified in a fresh process; prints the outcome as JSON.
+JOINT_LARGE_LEARN = """
+import json
+from covgraph import LearnConfig, kkt_report, learn_joint
+from covgraph.bench import EDGE_PRESENCE_TOL, VariogramSpec, sample_locations, variogram_covariance
+sample = sample_locations(200, 0)
+S = variogram_covariance(sample, VariogramSpec(range_=1.0))
+result = learn_joint(S, LearnConfig(init="kernel", points=sample.points))
+print(json.dumps({
+    "stop": result.stop, "kkt_passed": kkt_report(result, S).passed, "objective": result.objective,
+    "duality_gap": result.duality_gap,
+    "support": [[i, j] for i, j, w in result.graph.edges if w > EDGE_PRESENCE_TOL],
+}))
+"""
 
 
 def recorded_clamps(monkeypatch):

@@ -110,6 +110,10 @@ def _one_more(count):
     return count + 1
 
 
+def _stalled(stop):
+    return "stalled"
+
+
 class _Perturbed:
     """A package whose learns of the problem with covariance ``S[0, 1] ==
     first`` report ``field`` changed (by default an objective one ulp
@@ -147,7 +151,7 @@ def test_in_process_flags_a_problem_whose_outputs_differ(from_call):
 @pytest.mark.parametrize("field, change", [
     ("converged", operator.not_), ("kkt_residual", _ulp_up), ("duality_gap", _ulp_up),
     ("max_refresh_drift", _ulp_up), ("singularity_clips", _one_more), ("newton_rounds", _one_more),
-    ("cg_iterations", _one_more), ("failed_line_searches", _one_more),
+    ("cg_iterations", _one_more), ("failed_line_searches", _one_more), ("stop", _stalled),
 ])
 def test_in_process_flags_a_problem_whose_certificate_differs(field, change):
     packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_cert")

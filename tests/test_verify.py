@@ -311,6 +311,10 @@ class TestTrim:
         assert count == 1
         assert math.isnan(trimmed.kkt_residual) and math.isnan(trimmed.duality_gap)
         assert (trimmed.epochs_run, trimmed.history) == (result.epochs_run, result.history)
+        # Nor does it claim the run's certified stop.
+        assert (result.stop, result.converged) == ("certified", True)
+        assert (trimmed.stop, trimmed.converged) == ("trimmed", False)
+        assert trimmed.converged == (trimmed.stop in ("certified", "stop_tol"))
 
 
 class TestCovarianceSize:
@@ -335,6 +339,26 @@ class TestCovarianceSize:
         baseline = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
         with pytest.raises(GraphValidationError, match="graph has 3 vertices"):
             kkt_report(baseline, S)
+
+
+class TestTolerance:
+    joint = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)], q=np.ones(3), q_min=0.01)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, "1e-6", True, None])
+    @pytest.mark.parametrize("check, name", [(kkt_report, "tol"), (bound_report, "bound tolerance"),
+                                             (trim_violations, "bound tolerance")])
+    def test_tolerance_must_be_finite(self, check, name, tol):
+        # A NaN tolerance once failed every KKT check and flagged no bound.
+        S = kernel_spd_covariance(3, seed=3)
+        with pytest.raises(GraphValidationError, match=f"^{name} must be finite, got {tol!r}$"):
+            check(self.joint, S, tol=tol)
+
+    @pytest.mark.parametrize("check", [kkt_report, bound_report, trim_violations])
+    def test_any_finite_tolerance_passes(self, check):
+        # A negative bound tolerance stays legal: it also flags edges just under their bound.
+        S = kernel_spd_covariance(3, seed=3)
+        for tol in (-1e-2, 0, np.float32(1e-3), 1e300):
+            check(self.joint, S, tol=tol)
 
 
 class TestOptimalSupportProperties:

@@ -44,7 +44,7 @@ quartiles of the per-round ratio change / parent. Outside the timed
 region the run also compares the two sides' outputs, problem by problem:
 ``identical`` holds, per problem set, whether ``graph.edges``, the bytes
 of ``graph.q``, ``repr(objective)``, ``history``, ``epochs_run``,
-``converged``, ``repr(kkt_residual)``, ``repr(duality_gap)``,
+``converged``, ``repr(kkt_residual)``, ``repr(duality_gap)``, ``stop``,
 ``repr(max_refresh_drift)``, ``singularity_clips``, ``newton_rounds``,
 ``cg_iterations`` and ``failed_line_searches`` were byte-identical on both
 sides in every round, and the summary counts them.
@@ -184,13 +184,13 @@ def output_digest(result):
     """What two trees must agree on byte for byte: the learned edges, the
     bytes of the importances, the objective, its history, the epochs, the
     certificate (whether the run converged, its KKT residual and its
-    duality gap) and the rest of the run record (the largest refresh drift,
-    the singularity clips, the Newton rounds, their CG iterations and the
-    failed line searches)."""
+    duality gap), how the run stopped, and the rest of the run record (the
+    largest refresh drift, the singularity clips, the Newton rounds, their
+    CG iterations and the failed line searches)."""
     q = result.graph.q
     return (repr(result.graph.edges), None if q is None else q.tobytes(),
             repr(result.objective), repr(result.history), result.epochs_run,
-            result.converged, repr(result.kkt_residual), repr(result.duality_gap),
+            result.converged, repr(result.kkt_residual), repr(result.duality_gap), result.stop,
             repr(result.max_refresh_drift), result.singularity_clips, result.newton_rounds,
             result.cg_iterations, result.failed_line_searches)
 
