@@ -19,13 +19,17 @@ from phi in place, so no update allocates an n x n array. The product
 v_a * v_b is formed by ``np.einsum("i,j->ij", ...)``, the one multiply
 per element of ``np.outer``; with it a whole update takes about two thirds
 of the time of a broadcast ``np.multiply(v[:, None], v)`` at n = 100 and
-200 (Intel Xeon, numpy 2.4). :func:`_rank_one_update` says why the result
-is bit-identical.
+200 (Intel Xeon, numpy 2.4). The update calls the C function behind
+``np.einsum`` directly, without the wrapper's per-call cost, and falls back
+to ``np.einsum`` where numpy does not have it at that path; both give the
+same bytes. :func:`_rank_one_update` says why the result is bit-identical.
+The per-coordinate updates read their scalars off phi as Python floats,
+whose IEEE arithmetic is numpy's, and divide by a zero as numpy does.
 
 The joint method learns sparse graphs, so most edge coordinates sit at
 w = 0 and do not move. An edge sweep therefore tests each run of
-zero-weight edges in pieces, one numpy step each, with the per-edge
-arithmetic, hands the first edge that moves to the per-edge update and
+zero-weight edges in pieces, one numpy step each (on the immediate path a
+gather of phi's flat indices), with the per-edge arithmetic, hands the first edge that moves to the per-edge update and
 tests the rest of the run again; the sweep order and the arithmetic of
 every step it tests are those of visiting one edge at a time. A piece
 starts short after every edge that moves and grows geometrically while
@@ -53,17 +57,25 @@ all coordinates at once. Its Hessian over the free coordinates is G o G
 with G = U^T phi U; when the free set is small, as on a sparse joint graph,
 that block is formed once per step by gathers of phi
 (:func:`hessian_block`), and otherwise each product with it is two n x n
-matrix products (:func:`hessian_product`).
+matrix products (:func:`hessian_product`), between one ``np.bincount``
+that forms the coordinates' matrix D and one gather that reads H d off the
+result, both from flat indices built once per step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from math import log, log1p
+from math import log, log1p, sqrt
 
 import numpy as np
 
 from .graphs import GraphValidationError, as_covariance, as_importances, laplacian_from_pairs
+
+try:
+    # The C function that np.einsum calls unoptimized, without its Python
+    # wrapper; private API, at this path from numpy 2 on.
+    from numpy._core._multiarray_umath import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 # Smallest allowed determinant factor for a baseline edge update; stepping
 # past it would make L + J/n numerically singular (disconnected graph).
@@ -187,6 +199,11 @@ class SolverState:
         batched = self.n >= _MIN_BATCH_N
         self._pending = np.empty((_BATCH_SIZE, self.n)) if batched else None
         self._coef = np.empty(_BATCH_SIZE) if batched else None
+        # Immediate path: the flat indices of phi_ii, phi_jj and phi_ij of
+        # each pair, for the zero-run scan's one gather. None when batched,
+        # where they would be 3 x m ints (478 KB at n = 200) and unused.
+        n = self.n
+        self._flat = None if batched else np.stack([idx_i * (n + 1), idx_j * (n + 1), idx_i * n + idx_j])
         self.phi = None
         self.objective = None
         self.epoch_counter = 0
@@ -448,7 +465,8 @@ def _pcg(product, b, inv_diag):
     z = inv_diag * res
     p = z.copy()
     rz = float(res @ z)
-    target = _CG_TOL * float(np.linalg.norm(b))
+    # sqrt(x @ x) is what np.linalg.norm computes for a 1-D array.
+    target = _CG_TOL * sqrt(float(b @ b))
     for it in range(1, _CG_MAX_ITER + 1):
         hp = product(p)
         curvature = float(p @ hp)
@@ -457,7 +475,7 @@ def _pcg(product, b, inv_diag):
         alpha = rz / curvature
         x += alpha * p
         res -= alpha * hp
-        if np.linalg.norm(res) <= target:
+        if sqrt(float(res @ res)) <= target:
             return x, it
         z = inv_diag * res
         rz, rz_old = float(res @ z), rz
@@ -466,22 +484,59 @@ def _pcg(product, b, inv_diag):
     return x, _CG_MAX_ITER
 
 
-def hessian_product(phi, idx_i, idx_j, vertices, d) -> np.ndarray:
-    """H d for the objective's Hessian H over the edge coordinates of pairs
-    (idx_i, idx_j) followed by the importance coordinates ``vertices``, at
-    the model inverse ``phi``; ``d`` holds one entry per coordinate, in that
-    order.
+def coordinate_matrix(n, idx_i, idx_j, vertices):
+    """The map d -> D = sum_b d_b u_b u_b^T = L(d_edges) + diag(d_vertices)
+    over the edge coordinates of pairs (idx_i, idx_j) followed by the
+    importance coordinates ``vertices``, u being the incidence vector of an
+    edge or the unit vector of a vertex.
+
+    The scatter indices are built once; each D is then one ``np.bincount``
+    over the flat indices of an n x n array. It adds the diagonal's j-side
+    terms, then its i-side terms, then the vertices': the summation order of
+    :func:`covgraph.graphs.laplacian_from_pairs` followed by
+    ``D[v, v] += d_v``, so D is theirs bit for bit. An off-diagonal entry is
+    0.0 + (-d_e), which equals their 0.0 - d_e, zeros included.
+    """
+    k, edges = len(idx_i), np.arange(len(idx_i))
+    scatter = np.concatenate([idx_j * (n + 1), idx_i * (n + 1), vertices * (n + 1),
+                              idx_i * n + idx_j, idx_j * n + idx_i])
+    pick = np.concatenate([edges, edges, k + np.arange(len(vertices)), edges, edges])
+    sign = np.repeat([1.0, -1.0], [2 * k + len(vertices), 2 * k])
+
+    def matrix(d):
+        return np.bincount(scatter, d[pick] * sign, minlength=n * n).reshape(n, n)
+
+    return matrix
+
+
+def hessian_product(phi, idx_i, idx_j, vertices):
+    """The map d -> H d for the objective's Hessian H over the edge
+    coordinates of pairs (idx_i, idx_j) followed by the importance
+    coordinates ``vertices``, at the model inverse ``phi``; ``d`` holds one
+    entry per coordinate, in that order.
 
     H_ab = (u_a^T phi u_b)^2, with u the incidence vector of an edge or the
-    unit vector of a vertex, so (H d)_a = u_a^T (phi D phi) u_a with
-    D = sum_b d_b u_b u_b^T = L(d_edges) + diag(d_vertices): two n x n
-    matrix products, read like the edge costs and the diagonal.
+    unit vector of a vertex, so (H d)_a = u_a^T (phi D phi) u_a with D of
+    :func:`coordinate_matrix`: two n x n matrix products, read like the
+    edge costs and the diagonal, by one gather of flat indices. With the
+    indices built once, a product at n = 50 and 650 coordinates takes 23 us,
+    against 35 us for forming D by ``laplacian_from_pairs`` and reading M by
+    :func:`pair_quadratic` (Intel Xeon, numpy 2.4, 1 BLAS thread, minimum of
+    5 x 2,000 products), with the same bytes.
     """
-    k = len(idx_i)
-    D = laplacian_from_pairs(phi.shape[0], idx_i, idx_j, d[:k])
-    D[vertices, vertices] += d[k:]
-    M = phi @ D @ phi
-    return np.concatenate([pair_quadratic(M, idx_i, idx_j), M.diagonal()[vertices]])
+    n, k = phi.shape[0], len(idx_i)
+    kv = k + len(vertices)
+    matrix = coordinate_matrix(n, idx_i, idx_j, vertices)
+    gather = np.concatenate([idx_i * (n + 1), vertices * (n + 1), idx_j * (n + 1), idx_i * n + idx_j])
+
+    def product(d):
+        g = (phi @ matrix(d) @ phi).take(gather)
+        hd = g[:kv]
+        hd[:k] += g[kv : kv + k]
+        hd[:k] -= 2.0 * g[kv + k :]
+        return hd
+
+    return product
 
 
 def hessian_block(phi, idx_i, idx_j, vertices) -> np.ndarray:
@@ -528,14 +583,15 @@ def newton_step(state):
     ``_DENSE_HESSIAN_RATIO`` free coordinates per vertex, as on the sparse
     graphs of the joint method, the block is formed once by
     :func:`hessian_block` and each product is one mat-vec with it; above
-    that each product is :func:`hessian_product`, two n x n matrix
+    that each product is one of :func:`hessian_product`, two n x n matrix
     products. Trial points x(a) = P[x + a d], with P the projection onto
     the bounds, start at a = 1 and shrink by ``_BACKTRACK`` until
     ``model_objective`` falls below its value at x by ``_ARMIJO`` times
     -g^T (x(a) - x), and never rises (:func:`_try_point`). The reference is
-    evaluated at x, not read off the state: the objective an epoch maintains
-    from closed-form changes can sit a few ulps below it, and then no trial
-    point near the optimum passes. A step can leave tiny weights that belong
+    the objective evaluated at x: the state's when phi was set from scratch
+    with no update since, else evaluated anew, because the objective an
+    epoch maintains from closed-form changes can sit a few ulps below it,
+    and then no trial point near the optimum passes. A step can leave tiny weights that belong
     at zero; the coordinate epoch after it clears them. The state counts the
     steps, their CG iterations and the line searches that accepted no point.
 
@@ -566,10 +622,12 @@ def newton_step(state):
         if free.size <= _DENSE_HESSIAN_RATIO * n:
             product = hessian_block(phi, fi, fj, vertices).dot
         else:
-            product = partial(hessian_product, phi, fi, fj, vertices)
+            product = hessian_product(phi, fi, fj, vertices)
         step[free], iterations = _pcg(product, -grad[free], 1.0 / hdiag[free])
         state.cg_iterations += iterations
-    reference = evaluate_objective(state)
+    # The objective set with phi from scratch is the one evaluated at x, bit
+    # for bit; once an update has moved it, it is re-evaluated.
+    reference = state.objective if state.updates_since_refresh == 0 else evaluate_objective(state)
     alpha = 1.0
     for _ in range(_MAX_TRIALS):
         trial = np.maximum(x + alpha * step, lower)
@@ -648,7 +706,7 @@ def _rank_one_update(state, v, c):
     block-structured models (n <= 40); the tests check it at n = 101.
     """
     buf = state._outer
-    np.einsum("i,j->ij", v, v, out=buf)
+    _einsum("i,j->ij", v, v, out=buf)
     buf *= c
     state._phi -= buf
 
@@ -679,20 +737,25 @@ def _flush(state):
 
 
 def _apply_edge(state, e):
-    """Optimal single-edge step; returns (delta, cost, effective resistance)."""
+    """Optimal single-edge step; returns (delta, cost, effective resistance).
+
+    Scalars are read as Python floats (``ndarray.item``), whose arithmetic
+    is numpy's, but a division by zero raises where numpy's gives ±inf or
+    NaN, so a zero divisor is divided as a numpy scalar."""
     i, j = state.pairs[e]
     phi = state._phi
-    r = phi[i, i] + phi[j, j] - 2.0 * phi[i, j]
+    item = phi.item
+    r = item(i, i) + item(j, j) - 2.0 * item(i, j)
     k = state._k
     if k:
         pending = state._pending[:k]
         d = pending[:, i] - pending[:, j]
         cd = state._coef[:k] * d
         r -= cd @ d
-    h = state.edge_costs[e]
-    we = state.w[e]
+    h = state.edge_costs.item(e)
+    we = state.w.item(e)
 
-    delta = 1.0 / h - 1.0 / r
+    delta = 1.0 / h - (1.0 / r if r else np.float64(1.0) / r)
     clamped = delta <= -we
     if clamped:
         delta = -we
@@ -714,7 +777,7 @@ def _apply_edge(state, e):
     v = phi[i] - phi[j]
     if k:
         v -= cd @ pending
-    _update_phi(state, v, delta / denom)
+    _update_phi(state, v, delta / denom if denom else np.float64(delta) / denom)
     state.w[e] = 0.0 if clamped else we + delta
     state.objective += delta * h - log1p(delta * r)
     state.updates_since_refresh += 1
@@ -722,18 +785,20 @@ def _apply_edge(state, e):
 
 
 def _apply_vertex(state, i):
-    """Optimal single-importance step; returns (delta, cost, effective importance)."""
+    """Optimal single-importance step; returns (delta, cost, effective
+    importance). Scalars are read as :func:`_apply_edge` reads them."""
     phi = state._phi
-    u = phi[i, i]
+    u = phi.item(i, i)
     k = state._k
     if k:
         pending = state._pending[:k]
         cd = state._coef[:k] * pending[:, i]
         u -= cd @ pending[:, i]
-    p = state._sdiag[i]
+    p = state._sdiag.item(i)
+    qi = state.q.item(i)
 
-    delta = 1.0 / p - 1.0 / u
-    floor_gap = state.q_min - state.q[i]
+    delta = 1.0 / p - (1.0 / u if u else np.float64(1.0) / u)
+    floor_gap = state.q_min - qi
     clamped = delta <= floor_gap
     if clamped:
         delta = floor_gap
@@ -745,8 +810,8 @@ def _apply_vertex(state, i):
     if k:
         v = v - cd @ pending
     denom = 1.0 + delta * u
-    _update_phi(state, v, delta / denom)
-    state.q[i] = state.q_min if clamped else state.q[i] + delta
+    _update_phi(state, v, delta / denom if denom else np.float64(delta) / denom)
+    state.q[i] = state.q_min if clamped else qi + delta
     state.objective += delta * p - log1p(delta * u)
     state.updates_since_refresh += 1
     return delta, p, u
@@ -776,8 +841,12 @@ def _piece_length(state) -> int:
 
 def _resistances(state, start, stop):
     """Effective resistances of edges ``start:stop`` in the current inverse,
-    with the operations of :func:`_apply_edge`; on the batched path the
-    pending correction is summed in another order."""
+    with the operations of :func:`_apply_edge`: on the immediate path from
+    one gather of phi's flat indices, on the batched path with the pending
+    correction summed in another order."""
+    if state._flat is not None:
+        g = state._phi.take(state._flat[:, start:stop])
+        return g[0] + g[1] - 2.0 * g[2]
     idx_i, idx_j = state.idx_i[start:stop], state.idx_j[start:stop]
     r = pair_quadratic(state._phi, idx_i, idx_j)
     k = state._k

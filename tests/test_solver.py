@@ -9,7 +9,6 @@ one).
 """
 import copy
 import math
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -45,6 +44,7 @@ from covgraph.solver import (
     _pcg,
     certificate,
     clamp_step,
+    coordinate_matrix,
     hessian_block,
     hessian_product,
     model_inverse,
@@ -487,6 +487,15 @@ class TestEdgeSweepMatchesLoop:
         assert_sweeps_match_loop(state, sweeps=1)
         assert np.isnan(state.w[13:]).all()
 
+    def test_zero_resistance_divides_as_numpy(self):
+        # 1/r at r = 0 is inf, as numpy scalars divide, not a
+        # ZeroDivisionError of Python floats: the step clamps the weight.
+        state = joint_state(S2, w0=[0.5])
+        state.phi = np.ones((2, 2))
+        with np.errstate(divide="ignore"):
+            assert_sweeps_match_loop(state, sweeps=1)
+        assert state.w[0] == 0.0
+
     def test_baseline_singularity_clip(self):
         state = init_state(S2, [0], [1], [1.0])
         state.w[0] = 3e12
@@ -529,6 +538,21 @@ class TestRankOneUpdate:
         expected = state.phi - c * np.outer(v, v)
         _rank_one_update(state, v, c)
         assert state.phi.tobytes() == expected.tobytes()
+
+    @pytest.mark.skipif(covgraph.solver._einsum is np.einsum, reason="numpy has no c_einsum at the numpy 2 path")
+    def test_public_einsum_gives_the_same_bytes(self):
+        # The update calls numpy's C einsum directly; the public wrapper,
+        # its fallback, must leave phi with the same bytes after a sweep.
+        state = disconnected_state()
+        reference = copy.deepcopy(state)
+        with mock.patch.object(covgraph.solver, "_einsum", np.einsum):
+            sweep_edges(reference)
+            sweep_vertices(reference)
+        sweep_edges(state)
+        sweep_vertices(state)
+        assert state.updates_since_refresh > 0
+        assert state.phi.tobytes() == reference.phi.tobytes()
+        assert np.float64(state.objective).tobytes() == np.float64(reference.objective).tobytes()
 
 
 @st.composite
@@ -598,6 +622,15 @@ class TestVertexSweepMatchesLoop:
         assert np.isnan(state.objective)
         assert np.isnan(state.q[floor[1:]]).all()
 
+    def test_zero_effective_importance_divides_as_numpy(self):
+        # 1/u at u = 0 is inf, as numpy scalars divide, not a
+        # ZeroDivisionError of Python floats: the step clamps to the floor.
+        state = joint_state(S2)
+        state.phi = np.array([[0.0, 0.0], [0.0, 1.0]])
+        with np.errstate(divide="ignore"):
+            assert_vertex_sweeps_match_loop(state, sweeps=1)
+        assert state.q[0] == state.q_min
+
 
 class TestMonotoneDescent:
     @settings(max_examples=100, deadline=None)
@@ -648,9 +681,30 @@ class TestNewtonStep:
         d = rng.standard_normal(len(edges) + len(vertices))
         phi = state.phi
         H = explicit_hessian(phi, [state.pairs[e] for e in edges], vertices)
-        got = hessian_product(phi, state.idx_i[edges], state.idx_j[edges], vertices, d)
+        got = hessian_product(phi, state.idx_i[edges], state.idx_j[edges], vertices)(d)
         expected = H @ d
         assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * np.max(np.abs(expected), initial=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_states(max_n=8), st.integers(0, 2**32 - 1))
+    def test_matrix_free_product_is_bit_identical_to_its_definition(self, state, seed):
+        # D is L(d_edges) + diag(d_vertices) as laplacian_from_pairs and a
+        # diagonal add form it, zeros of both signs included, and H d is
+        # read off phi D phi as pair_quadratic and the diagonal read it.
+        edges, vertices = random_free_set(state, seed)
+        rng = np.random.default_rng(seed)
+        k = len(edges)
+        d = rng.standard_normal(k + len(vertices))
+        d[rng.random(len(d)) < 0.2] = 0.0
+        d[rng.random(len(d)) < 0.2] = -0.0
+        fi, fj = state.idx_i[edges], state.idx_j[edges]
+        expected = laplacian_from_pairs(state.n, fi, fj, d[:k])
+        expected[vertices, vertices] += d[k:]
+        assert coordinate_matrix(state.n, fi, fj, vertices)(d).tobytes() == expected.tobytes()
+        phi = state.phi
+        M = phi @ expected @ phi
+        hd = np.concatenate([pair_quadratic(M, fi, fj), M.diagonal()[vertices]])
+        assert hessian_product(phi, fi, fj, vertices)(d).tobytes() == hd.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(random_states(max_n=8), st.integers(0, 2**32 - 1))
@@ -680,7 +734,7 @@ class TestNewtonStep:
         inv_diag = 1.0 / np.concatenate([r * r, u * u])
         with mock.patch.multiple(covgraph.solver, _CG_TOL=0.0, _CG_MAX_ITER=2):
             dense, _ = _pcg(hessian_block(phi, fi, fj, vertices).dot, b, inv_diag)
-            free, _ = _pcg(partial(hessian_product, phi, fi, fj, vertices), b, inv_diag)
+            free, _ = _pcg(hessian_product(phi, fi, fj, vertices), b, inv_diag)
         assert np.max(np.abs(dense - free), initial=0.0) <= 1e-6 * np.max(np.abs(free), initial=0.0)
 
     @settings(max_examples=150, deadline=None)
@@ -688,10 +742,15 @@ class TestNewtonStep:
     def test_line_search_does_not_read_the_maintained_objective(self, state):
         # The Armijo reference is the objective evaluated at the current
         # point, so a maintained value off by any amount takes the same step.
+        # A value is maintained once an update has moved it since phi was
+        # set from scratch; until then it is the evaluated one, bit for bit.
+        assert state.updates_since_refresh == 0
+        assert state.objective == evaluate_objective(state)
         steps = []
         for shift in (0.0, -1.0, 1.0):
             shifted = copy.deepcopy(state)
             shifted.objective += shift
+            shifted.updates_since_refresh += 1
             alpha, _ = newton_step(shifted)
             steps.append((alpha, shifted.w.tobytes(), None if state.q is None else shifted.q.tobytes()))
         assert steps[1] == steps[0] and steps[2] == steps[0]
