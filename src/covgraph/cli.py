@@ -109,7 +109,12 @@ def _cmd_verify(args):
         )
     points = _read_points(args.points, S.n)
 
+    # Every report is computed, and so every option checked, before any is written.
     kkt = kkt_report(graph, S, **_given(args, "tol"))
+    if graph.q is not None:
+        bound_tol = {} if args.bound_tol is None else {"tol": args.bound_tol}
+        bounds = bound_report(graph, S, **bound_tol)
+        trim = trim_violations(graph, S, **bound_tol) if args.trim else None
     if args.out_kkt:
         io.write_kkt_json(args.out_kkt, kkt)
     status = "pass" if kkt.passed else "fail"
@@ -117,15 +122,12 @@ def _cmd_verify(args):
         print(f"kkt {status} (max edge residual {kkt.max_edge_residual:.3e})")
         return 0
 
-    bound_tol = {} if args.bound_tol is None else {"tol": args.bound_tol}
-    bounds = bound_report(graph, S, **bound_tol)
     if args.out_bounds:
         io.write_bound_report_json(args.out_bounds, bounds)
     if args.bounds_csv:
         io.write_bound_table_csv(args.bounds_csv, bounds, points=points)
-
-    if args.trim:
-        trimmed, n_trimmed = trim_violations(graph, S, **bound_tol)
+    if trim:
+        trimmed, n_trimmed = trim
         io.write_graph_json(args.out_graph, trimmed)
         print(f"trimmed {n_trimmed} bound-violating edge(s)", file=sys.stderr)
 

@@ -38,8 +38,14 @@ def as_real(value, name, sign=None, error=GraphValidationError) -> float:
     else raises ``error``."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     signed = {None: True, "positive": real and value > 0, "nonnegative": real and value >= 0}[sign]
-    if not (real and math.isfinite(value) and signed):
-        raise error(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+    try:
+        finite, shown = real and math.isfinite(value), None
+    except OverflowError:
+        # An int beyond the float range, whose decimal text can be too long
+        # for Python to form (more than 4,300 digits).
+        finite, shown = False, "an int beyond the float range"
+    if not (real and finite and signed):
+        raise error(f"{name} must be {sign + ' and ' if sign else ''}finite, got {shown or repr(value)}")
     return float(value)
 
 

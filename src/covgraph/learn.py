@@ -101,7 +101,12 @@ REFRESH_EVERY = 50
 # three runs each in one process, 1, 2, 3 and 5 warm epochs took the desk
 # requests 2.2-3.0, 2.0-2.3, 2.0-2.4 and 1.8-2.5 s and joint-large
 # 1.2-1.3, 0.66-0.77, 0.48-0.62 and 0.37-0.49 s, in 15, 16, 13 and 10
-# Newton rounds.
+# Newton rounds. With the hot loops' per-call trims, full steps at the
+# rounding floor and the settle band (fresh processes, the minimum of 3
+# passes, the median of 5 alternating runs, as a share of the time before
+# those changes with 5), 3, 4, 5 and 6 warm epochs took the desk requests
+# 0.69, 0.66, 0.71 and 0.84 and joint-large 1.12, 1.04, 0.94 and 0.97. No
+# value wins on both, so 5 stays.
 WARM_EPOCHS = 5
 
 # Largest KKT residual, on a freshly refreshed inverse, at which an

@@ -273,6 +273,18 @@ class TestVerify:
         assert status == 0
         assert trimmed.read_text() == graph_path.read_text()
 
+    def test_rejected_bound_tolerance_writes_no_report(self, tmp_path, learned, capsys):
+        # The KKT report was once written before the bound tolerance was
+        # checked, and left behind by the rejected run.
+        cov, graph_path = learned
+        outputs = {"--out-kkt": "kkt.json", "--out-bounds": "bounds.json", "--bounds-csv": "bounds.csv",
+                   "--out-graph": "trimmed.json"}
+        flags = [arg for flag, name in outputs.items() for arg in (flag, str(tmp_path / name))]
+        status = run("verify", "--graph", str(graph_path), "--cov", str(cov), *flags, "--trim", "--bound-tol", "nan")
+        assert status == 1
+        assert capsys.readouterr().err == "error: bound tolerance must be finite, got nan\n"
+        assert not any((tmp_path / name).exists() for name in outputs.values())
+
     def test_trim_requires_out_graph(self, tmp_path, learned, capsys):
         cov, graph_path = learned
         status = run("verify", "--graph", str(graph_path), "--cov", str(cov), "--trim")

@@ -456,6 +456,10 @@ class TestConfigValidation:
             ({"q_min": "1e-4"}, "q_min must be positive and finite, got '1e-4'"),
             ({"q_min": np.inf}, "q_min must be positive and finite"),
             ({"q_min": True}, "q_min must be positive and finite"),
+            # Beyond the float range: once a bare OverflowError. 10**5000 has
+            # more digits than Python turns into text by default.
+            ({"q_min": 10**400}, "q_min must be positive and finite, got an int beyond the float range"),
+            ({"q_min": 10**5000}, "q_min must be positive and finite, got an int beyond the float range"),
             ({"stop_tol": np.inf}, "stop_tol must be positive and finite"),
             ({"stop_tol": np.nan}, "stop_tol must be positive and finite"),
             ({"init_value": -1.0}, "init_value must be nonnegative and finite"),

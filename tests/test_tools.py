@@ -86,7 +86,7 @@ def test_in_process_alternates_two_imports_of_the_tree():
     assert packages["parent"].learn_joint is not packages["change"].learn_joint
     assert packages["parent"].solver.__name__ == "covgraph_parent_test.solver"
 
-    measured = bench_pairs.in_process(packages, {"tiny": TINY}, rounds=3)
+    measured = bench_pairs.in_process(packages, {"tiny": ("joint", TINY)}, rounds=3)
     assert measured["unconverged"] == {"parent": 0, "change": 0}
     times = measured["rounds"]
     parent, change = times["parent"]["tiny"], times["change"]["tiny"]
@@ -143,7 +143,7 @@ def test_in_process_flags_a_problem_whose_outputs_differ(from_call):
     S, _ = bench_pairs.problem_inputs(packages["change"], TINY[1:])[0]
     packages["change"] = _Perturbed(packages["change"], S[0, 1], from_call)
     # A difference in any round, the first or a later one, marks the problem.
-    measured = bench_pairs.in_process(packages, {"tiny": TINY}, rounds=2)
+    measured = bench_pairs.in_process(packages, {"tiny": ("joint", TINY)}, rounds=2)
     assert measured["identical"] == {"tiny": [True, False]}
     assert measured["summary"]["tiny"]["identical"] == 1
 
@@ -158,7 +158,7 @@ def test_in_process_flags_a_problem_whose_certificate_differs(field, change):
                 for side in bench_pairs.SIDES}
     S, _ = bench_pairs.problem_inputs(packages["change"], TINY[1:])[0]
     packages["change"] = _Perturbed(packages["change"], S[0, 1], 0, field, change)
-    measured = bench_pairs.in_process(packages, {"tiny": TINY}, rounds=2)
+    measured = bench_pairs.in_process(packages, {"tiny": ("joint", TINY)}, rounds=2)
     assert measured["identical"] == {"tiny": [True, False]}
     assert measured["summary"]["tiny"]["identical"] == 1
 
@@ -176,7 +176,18 @@ def test_in_process_run_keeps_the_other_keys_of_the_file(tmp_path, monkeypatch):
     assert code == 0
     record = json.loads(out.read_text())
     assert record["summary"] == {"joint-large": 1}
-    assert set(record["in_process"]["summary"]) == {"desk", "large"}
+    assert set(record["in_process"]["summary"]) == {"desk", "large", "baseline"}
     assert len(record["in_process"]["rounds"]["change"]["large"]) == 2
     assert "OPENBLAS_NUM_THREADS=1" in record["in_process"]["environment"]
-    assert record["in_process"]["identical"] == {"desk": [True, True], "large": [True]}
+    assert record["in_process"]["identical"] == {"desk": [True, True], "large": [True], "baseline": [True, True]}
+
+
+def test_each_problem_set_learns_by_its_method():
+    package = bench_pairs.load_package(bench_pairs.ROOT, "covgraph_method_test")
+    inputs = bench_pairs.problem_inputs(package, TINY)
+    methods = {name: method for name, (method, _) in bench_pairs.problem_sets().items()}
+    assert methods == {"desk": "joint", "large": "joint", "baseline": "baseline"}
+    for method, joint in (("joint", True), ("baseline", False)):
+        _, results = bench_pairs.timed_learns(package, method, inputs)
+        assert [result.graph.q is not None for result in results] == [joint, joint]
+        assert all(result.stop == "certified" for result in results)

@@ -32,10 +32,13 @@ for ``analyze``) under ``peak_rss_mb``, with no other tool:
 ``--in-process`` measures in one process instead, which the machine's
 drift between processes does not reach. Both trees are imported side by
 side, under the package names ``covgraph_parent`` and ``covgraph_change``.
-Each of ``--pairs`` rounds times, per side, the 35 joint desk learns
-(n = 50, trials 0-6, five ranges, kernel start, default protocol) and one
-joint-large learn (n = 200, trial 0, r = 1) on the same inputs; the side
-that goes first alternates from round to round. BLAS runs one thread
+Each of ``--pairs`` rounds times, per side, three problem sets on the same
+inputs, each learn from a kernel start under the default protocol:
+``desk``, the 35 joint desk learns (n = 50, trials 0-6, five ranges);
+``large``, one joint-large learn (n = 200, trial 0, r = 1); and
+``baseline``, the 35 desk problems learned by the baseline method, which
+no benchmark workload runs. The side that goes first alternates from
+round to round. BLAS runs one thread
 unless ``OPENBLAS_NUM_THREADS`` says otherwise. The times go under the key
 ``in_process`` of ``--out``, and the file's other keys are kept, so one
 file holds both sets. The summary gives, per problem set, each side's
@@ -150,6 +153,11 @@ DESK = tuple((50, trial, r) for trial in range(7) for r in (0.01, 0.02, 0.1, 0.2
 LARGE = ((200, 0, 1.0),)
 
 
+def problem_sets():
+    """The in-process problem sets: name -> (method, problems)."""
+    return {"desk": ("joint", DESK), "large": ("joint", LARGE), "baseline": ("baseline", DESK)}
+
+
 def load_package(checkout, name):
     """Import ``src/covgraph`` of ``checkout`` as the package ``name``."""
     source = Path(checkout) / "src" / "covgraph"
@@ -171,12 +179,14 @@ def problem_inputs(package, problems):
     return inputs
 
 
-def timed_learns(package, inputs):
-    """(seconds, results) of one default joint learn per input."""
+def timed_learns(package, method, inputs):
+    """(seconds, results) of one learn per input by ``method`` (``"joint"``
+    or ``"baseline"``) from a kernel start, under the default protocol."""
+    learner = package.learn_joint if method == "joint" else package.learn_cgl_baseline
     results = []
     start = time.perf_counter()
     for S, points in inputs:
-        results.append(package.learn_joint(S, package.LearnConfig(init="kernel", points=points)))
+        results.append(learner(S, package.LearnConfig(method=method, init="kernel", points=points)))
     return time.perf_counter() - start, results
 
 
@@ -199,21 +209,22 @@ def in_process(packages, problem_sets, rounds):
     """Alternate the sides' learns over ``rounds`` rounds in this process.
 
     ``packages`` maps each side of ``SIDES`` to its imported package and
-    ``problem_sets`` a set name to its (n, trial, range) problems. Round k
+    ``problem_sets`` a set name to its method and its (n, trial, range)
+    problems. Round k
     runs every set on both sides, the parent first in even rounds. Returns
     the per-round times, the unconverged counts, whether each problem's
     outputs were byte-identical on both sides in every round, and the
     summary."""
     inputs = {name: problem_inputs(packages["change"], problems)
-              for name, problems in problem_sets.items()}
+              for name, (_, problems) in problem_sets.items()}
     times = {side: {name: [] for name in problem_sets} for side in SIDES}
     unconverged = {side: 0 for side in SIDES}
-    identical = {name: [True] * len(problems) for name, problems in problem_sets.items()}
+    identical = {name: [True] * len(problems) for name, (_, problems) in problem_sets.items()}
     for k in range(rounds):
         digests = {}
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            for name in problem_sets:
-                seconds, results = timed_learns(packages[side], inputs[name])
+            for name, (method, _) in problem_sets.items():
+                seconds, results = timed_learns(packages[side], method, inputs[name])
                 times[side][name].append(seconds)
                 unconverged[side] += sum(not result.converged for result in results)
                 digests[side, name] = [output_digest(result) for result in results]
@@ -250,7 +261,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--what", default="", help="one line saying what is compared")
     parser.add_argument("--in-process", action="store_true",
-                        help="alternate desk and joint-large learns of both trees in this process")
+                        help="alternate desk, joint-large and baseline desk learns of both trees "
+                             "in this process")
     args = parser.parse_args(argv)
     if args.in_process:
         return main_in_process(args)
@@ -321,7 +333,7 @@ def main_in_process(args):
     try:
         checkouts = checkout_trees({"parent": args.parent, "change": args.change}, tmp)
         packages = {side: load_package(checkouts[side], f"covgraph_{side}") for side in SIDES}
-        measured = in_process(packages, {"desk": DESK, "large": LARGE}, args.pairs)
+        measured = in_process(packages, problem_sets(), args.pairs)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     record["in_process"] = {
@@ -329,8 +341,9 @@ def main_in_process(args):
         "method": (f"{args.pairs} rounds in one process; parent {args.parent} and change "
                    f"{args.change} imported as covgraph_parent and covgraph_change; per round "
                    "and side the total learn time of the 35 joint desk specs (n=50, trials 0-6 "
-                   "x ranges 0.01, 0.02, 0.1, 0.2, 1, kernel start, default protocol) and of one "
-                   "joint-large learn (n=200, trial 0, r=1), on the same inputs; even rounds run "
+                   "x ranges 0.01, 0.02, 0.1, 0.2, 1), of one joint-large learn (n=200, trial 0, "
+                   "r=1) and of the 35 desk specs learned by the baseline method, each from a "
+                   "kernel start under the default protocol, on the same inputs; even rounds run "
                    "the parent first; quartiles by linear interpolation; seconds; outputs "
                    "compared per problem outside the timed region"),
         "environment": (f"python {sys.version.split()[0]}, numpy {version('numpy')}, "
