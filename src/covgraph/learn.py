@@ -43,9 +43,10 @@ proceeds and when it stops:
   the lowest residual is at most ``KKT_EXIT`` (the settle band), one such
   round ends a run that its refreshed inverse certifies: joint-large sits
   at a floor of 1.4e-12, just above ``KKT_SETTLE``, and without the band
-  takes 12 rounds instead of 10 to stall. Each accepted Newton step inverts the model matrix at
-  its new point, so a round decides on that inverse or on the maintained
-  one, one epoch old, and only the exit refreshes it.
+  takes 12 rounds instead of 10 to stall. Each accepted Newton step
+  inverts the model matrix at its new point, so a round decides on that
+  inverse or on the maintained one, one epoch old, and only the exit
+  refreshes it.
 - ``"paper"`` is the stop protocol of the paper's benchmark table, which
   :func:`covgraph.bench.run_experiment` always runs. The run stops once
   the objective improves by less than ``stop_tol`` over an epoch. The

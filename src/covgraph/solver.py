@@ -29,9 +29,10 @@ whose IEEE arithmetic is numpy's, and divide by a zero as numpy does.
 The joint method learns sparse graphs, so most edge coordinates sit at
 w = 0 and do not move. An edge sweep therefore tests each run of
 zero-weight edges in pieces, one numpy step each (on the immediate path a
-gather of phi's flat indices), with the per-edge arithmetic, hands the first edge that moves to the per-edge update and
-tests the rest of the run again; the sweep order and the arithmetic of
-every step it tests are those of visiting one edge at a time. A piece
+gather of phi's flat indices), with the per-edge arithmetic, hands the
+first edge that moves to the per-edge update and tests the rest of the run
+again; the sweep order and the arithmetic of every step it tests are those
+of visiting one edge at a time. A piece
 starts short after every edge that moves and grows geometrically while
 none does, so an edge that moves soon wastes little of the piece.
 

@@ -456,10 +456,6 @@ class TestConfigValidation:
             ({"q_min": "1e-4"}, "q_min must be positive and finite, got '1e-4'"),
             ({"q_min": np.inf}, "q_min must be positive and finite"),
             ({"q_min": True}, "q_min must be positive and finite"),
-            # Beyond the float range: once a bare OverflowError. 10**5000 has
-            # more digits than Python turns into text by default.
-            ({"q_min": 10**400}, "q_min must be positive and finite, got an int beyond the float range"),
-            ({"q_min": 10**5000}, "q_min must be positive and finite, got an int beyond the float range"),
             ({"stop_tol": np.inf}, "stop_tol must be positive and finite"),
             ({"stop_tol": np.nan}, "stop_tol must be positive and finite"),
             ({"init_value": -1.0}, "init_value must be nonnegative and finite"),
@@ -467,6 +463,10 @@ class TestConfigValidation:
             ({"init": "kernel"}, "vertex coordinates as an (n, d) array, got None"),
             ({"init": "kernel", "points": np.zeros(6)}, "vertex coordinates as an (n, d) array, got shape (6,)"),
             ({"init": "given"}, "init='given' requires init_weights"),
+            # Beyond the float range: once a bare OverflowError. 10**5000 has
+            # more digits than Python turns into text by default.
+            ({"q_min": 10**400}, "q_min must be positive and finite, got an int beyond the float range"),
+            ({"q_min": 10**5000}, "q_min must be positive and finite, got an int beyond the float range"),
         ],
     )
     def test_bad_value_rejected_at_construction(self, kwargs, message):

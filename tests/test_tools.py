@@ -185,7 +185,7 @@ def test_in_process_run_keeps_the_other_keys_of_the_file(tmp_path, monkeypatch):
 def test_each_problem_set_learns_by_its_method():
     package = bench_pairs.load_package(bench_pairs.ROOT, "covgraph_method_test")
     inputs = bench_pairs.problem_inputs(package, TINY)
-    methods = {name: method for name, (method, _) in bench_pairs.problem_sets().items()}
+    methods = {name: method for name, (method, _) in bench_pairs.default_problem_sets().items()}
     assert methods == {"desk": "joint", "large": "joint", "baseline": "baseline"}
     for method, joint in (("joint", True), ("baseline", False)):
         _, results = bench_pairs.timed_learns(package, method, inputs)

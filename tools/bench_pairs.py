@@ -38,8 +38,8 @@ inputs, each learn from a kernel start under the default protocol:
 ``large``, one joint-large learn (n = 200, trial 0, r = 1); and
 ``baseline``, the 35 desk problems learned by the baseline method, which
 no benchmark workload runs. The side that goes first alternates from
-round to round. BLAS runs one thread
-unless ``OPENBLAS_NUM_THREADS`` says otherwise. The times go under the key
+round to round. BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` says
+otherwise. The times go under the key
 ``in_process`` of ``--out``, and the file's other keys are kept, so one
 file holds both sets. The summary gives, per problem set, each side's
 median, quartiles and minimum, the rounds the change wins and the
@@ -153,7 +153,7 @@ DESK = tuple((50, trial, r) for trial in range(7) for r in (0.01, 0.02, 0.1, 0.2
 LARGE = ((200, 0, 1.0),)
 
 
-def problem_sets():
+def default_problem_sets():
     """The in-process problem sets: name -> (method, problems)."""
     return {"desk": ("joint", DESK), "large": ("joint", LARGE), "baseline": ("baseline", DESK)}
 
@@ -210,8 +210,8 @@ def in_process(packages, problem_sets, rounds):
 
     ``packages`` maps each side of ``SIDES`` to its imported package and
     ``problem_sets`` a set name to its method and its (n, trial, range)
-    problems. Round k
-    runs every set on both sides, the parent first in even rounds. Returns
+    problems. Round k runs every set on both sides, the parent first in
+    even rounds. Returns
     the per-round times, the unconverged counts, whether each problem's
     outputs were byte-identical on both sides in every round, and the
     summary."""
@@ -333,7 +333,7 @@ def main_in_process(args):
     try:
         checkouts = checkout_trees({"parent": args.parent, "change": args.change}, tmp)
         packages = {side: load_package(checkouts[side], f"covgraph_{side}") for side in SIDES}
-        measured = in_process(packages, problem_sets(), args.pairs)
+        measured = in_process(packages, default_problem_sets(), args.pairs)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     record["in_process"] = {
