@@ -19,19 +19,21 @@ proceeds and when it stops:
   epoch zeroes them one Sherman-Morrison update at a time, about 0.3 s of
   a 0.8 s joint-large learn; the clamp takes one inverse, about 5 ms, and
   leaves the epoch long zero runs to scan. After the clamp and
-  ``WARM_EPOCHS`` epochs it repeats rounds of one projected Newton step
-  (:func:`covgraph.solver.newton_step`), followed by one epoch only when
-  the line search shortened the step (or accepted no point). That epoch
-  clears tiny weights the step left off the support and brings back
-  coordinates it left at a bound. A step accepted at full length has found
-  the active set, where projected Newton converges quadratically, so the
-  next round follows it directly. This is the structure of QUIC (Hsieh et
-  al., JMLR 2014) and of projected Newton (Bertsekas, SIAM J. Control
-  Optim. 1982). A round lowers the objective, except at its rounding
-  floor: a full step whose predicted decrease is below the objective's
-  rounding allowance is taken when it raises the objective by at most
-  that allowance (``covgraph.solver.ROUNDING_ALLOWANCE``), where halving
-  it would only shorten it and cost an epoch. The run is certified once
+  ``WARM_EPOCHS`` epochs it runs projected Newton alone (Bertsekas, SIAM
+  J. Control Optim. 1982): each round is one step of
+  :func:`covgraph.solver.newton_step`, and no round sweeps. The step moves
+  every coordinate that is off its bound or whose gradient points inward,
+  and projects its trial points onto the bounds, so it both grows and
+  prunes the support. A coordinate epoch after each shortened step, as in
+  QUIC (Hsieh et al., JMLR 2014), bought nothing here: without it the 35
+  joint and 35 baseline desk problems take the same supports in fewer
+  epochs and less time, and two n = 200 problems that stalled with it
+  (trial 2, kernel start: baseline at r = 0.1 and joint at r = 0.02)
+  certify. A round lowers the objective, except at its rounding floor: a
+  full step whose predicted decrease is below the objective's rounding
+  allowance is taken when it raises the objective by at most that
+  allowance (``covgraph.solver.ROUNDING_ALLOWANCE``), where halving it
+  would only shorten it at random. The run is certified once
   the largest KKT residual, that of
   :func:`covgraph.solver.coordinate_steps`, is at most ``KKT_EXIT`` on a
   freshly refreshed inverse. Rounds go on until the residual reaches
@@ -41,12 +43,13 @@ proceeds and when it stops:
   ``STALL_PROGRESS`` rounding units, which is where rounding stops
   Newton's progress; a stalled run reports whether it is certified. Once
   the lowest residual is at most ``KKT_EXIT`` (the settle band), one such
-  round ends a run that its refreshed inverse certifies: joint-large sits
-  at a floor of 1.4e-12, just above ``KKT_SETTLE``, and without the band
-  takes 12 rounds instead of 10 to stall. Each accepted Newton step
-  inverts the model matrix at its new point, so a round decides on that
-  inverse or on the maintained one, one epoch old, and only the exit
-  refreshes it.
+  round ends a run that its refreshed inverse certifies: at sill 1e-4
+  (n = 50, trial 0, r = 1, joint, kernel start) the residual wanders at a
+  floor between ``KKT_EXIT`` and ``KKT_SETTLE``, and without the band the
+  run takes 15 rounds instead of 10. Each accepted Newton step inverts the
+  model matrix at its new point, so a round decides on the inverse of the
+  last accepted step, or before any on the maintained inverse of the warm
+  epochs, and only the exit refreshes it.
 - ``"paper"`` is the stop protocol of the paper's benchmark table, which
   :func:`covgraph.bench.run_experiment` always runs. The run stops once
   the objective improves by less than ``stop_tol`` over an epoch. The
@@ -92,22 +95,18 @@ PROTOCOLS = ("optimum", "paper")
 # under the "paper" protocol only.
 REFRESH_EVERY = 50
 
-# Epochs of the "optimum" protocol before its first Newton round. Measured
-# on an Intel Xeon with numpy 2.4 and 1 BLAS thread, with rounds that run
-# their epoch only after a shortened step, two runs each: the 35 joint desk
-# requests (n = 50, trials 0-6, five ranges, kernel start) took 2.8-2.9,
-# 2.8-3.0, 2.5-2.9 and 3.3-3.7 s in all for 2, 3, 5 and 8 warm epochs; one
-# joint-large learn (n = 200, r = 1) took 1.0-1.1, 0.8-1.0, 0.7-0.8 and
-# 0.8-1.0 s, in 19, 17, 10 and 14 Newton rounds. After the opening clamp,
-# three runs each in one process, 1, 2, 3 and 5 warm epochs took the desk
-# requests 2.2-3.0, 2.0-2.3, 2.0-2.4 and 1.8-2.5 s and joint-large
-# 1.2-1.3, 0.66-0.77, 0.48-0.62 and 0.37-0.49 s, in 15, 16, 13 and 10
-# Newton rounds. With the hot loops' per-call trims, full steps at the
-# rounding floor and the settle band (fresh processes, the minimum of 3
-# passes, the median of 5 alternating runs, as a share of the time before
-# those changes with 5), 3, 4, 5 and 6 warm epochs took the desk requests
-# 0.69, 0.66, 0.71 and 0.84 and joint-large 1.12, 1.04, 0.94 and 0.97. No
-# value wins on both, so 5 stays.
+# Epochs of the "optimum" protocol before its first Newton round, and its
+# only coordinate epochs. After the opening clamp a kernel start keeps
+# almost no weight, and the epochs find the support again more cheaply than
+# Newton steps, which free only the coordinates whose gradient points
+# inward. Measured in one process on an Intel Xeon with numpy 2.4 and 1
+# BLAS thread, kernel starts: 3, 4, 5 and 6 warm epochs took one
+# joint-large learn (n = 200, trial 0, r = 1) 21, 23, 14 and 12 Newton
+# rounds and 1.30, 1.43, 1 and 0.98 times the time of 5 (medians of 7
+# runs); the 35 joint desk problems (n = 50, trials 0-6, five ranges) took
+# 333, 306, 301 and 292 rounds, and with 6 the desk problem at trial 6,
+# r = 1 stalls at a KKT residual of 2.5e-3, its Newton steps shrinking to
+# 2e-6. So 5 stays.
 WARM_EPOCHS = 5
 
 # Largest KKT residual, on a freshly refreshed inverse, at which an
@@ -130,10 +129,11 @@ KKT_SETTLE = 1e-12
 # "optimum" run stops. The residual is absolute, so its rounding floor grows
 # as the variances shrink: at n = 50 and sills of 1e-6 and 1e-4 it lies
 # above or near KKT_EXIT, and those runs went on to max_epochs; with 3 they
-# stop after 14-18 warm epochs and rounds (trial 0, r = 1, both methods,
-# kernel start). With 3, all 100 criterion-8 problems, twenty at n = 100
-# (trials 0-1, five ranges, both methods) and both methods at n = 200
-# (trial 0, r = 1) stop converged, in at most 55 warm epochs and rounds.
+# stop after 15-19 warm epochs and rounds (trial 0, r = 1, both methods,
+# kernel start). With 3, the 100 criterion-8 problems from uniform and
+# kernel starts, twenty at n = 100 (trials 0-1, five ranges, both methods,
+# kernel start) and both methods at n = 200 (trial 0, r = 1) stop
+# converged, in at most 23 warm epochs and rounds.
 STALL_ROUNDS = 3
 
 # Decrease of the lowest objective so far, in units of eps * |objective|,
@@ -150,13 +150,13 @@ STALL_PROGRESS = 1e6
 # Factor by which the KKT residual must fall below its lowest value so far
 # for a round to count as progress for STALL_ROUNDS. Near a rounding floor
 # the residual wanders and sets small new lows: at sill 1e-4 (trial 0,
-# r = 1, joint, kernel start) it falls below 1e-8 in round 7 and then moves
-# between 1.5e-9 and 7.5e-9, and with any new low counted the run took 18
-# rounds; with 0.5 it takes 10 and ends certified at 3.0e-9. A Newton round
-# away from the floor cuts the residual by far more than half: the 35 joint
-# desk problems and joint-large (kernel start) take the same rounds either
-# way, 2 of the 35 baseline ones (r = 1) stop certified 2-3 rounds sooner,
-# and the 100 criterion-8 problems all still stop certified.
+# r = 1, joint, kernel start) it reaches 1.0e-8 in round 9 and then moves
+# between 3e-10 and 6e-9, and with any new low counted the run took 13
+# rounds; with 0.5 it takes 10 and ends certified at 5.9e-9. A Newton round
+# away from the floor cuts the residual by far more than half: the 35
+# baseline desk problems and joint-large (kernel start) take the same
+# rounds either way, the 35 joint desk ones 301 rounds against 302, and
+# the 100 criterion-8 problems all still stop certified.
 STALL_DROP = 0.5
 
 
@@ -181,7 +181,7 @@ class LearnConfig:
     ``"paper"`` (the paper's objective-change stop); the module docstring
     describes both. ``stop_tol`` > 0 applies to ``"paper"`` alone.
     ``max_epochs`` caps the epochs of ``"paper"`` and the warm epochs plus
-    Newton rounds of ``"optimum"``, whether or not a round ran its epoch.
+    Newton rounds of ``"optimum"``.
     ``q_min`` > 0 is an absolute floor, in 1/variance units: not scaled by S.
     """
 
@@ -225,12 +225,13 @@ class LearnConfig:
 class LearnResult:
     """Packaged outcome of a learning run.
 
-    ``epochs_run`` counts the coordinate epochs that ran. ``history`` holds
-    the objective at initialization and after each step that ``max_epochs``
-    caps: under ``"paper"`` each epoch, so it has ``epochs_run + 1``
-    entries; under ``"optimum"`` each warm epoch and each Newton round,
-    after the round's epoch if it ran one, so it has ``WARM_EPOCHS +
-    newton_rounds + 1`` entries when ``max_epochs`` allows the warm phase.
+    ``epochs_run`` counts the coordinate epochs that ran: under
+    ``"optimum"`` only the warm ones, ``min(WARM_EPOCHS, max_epochs)``.
+    ``history`` holds the objective at initialization and after each step
+    that ``max_epochs`` caps: under ``"paper"`` each epoch, so it has
+    ``epochs_run + 1`` entries; under ``"optimum"`` each warm epoch and
+    each Newton round, so it has ``epochs_run + newton_rounds + 1``
+    entries.
     Under ``"optimum"`` the last entry is ``objective``, taken on the exit's
     refreshed inverse; under ``"paper"`` it is the objective after the last
     epoch, before the closing refresh, so its last digits can differ. The
@@ -365,11 +366,7 @@ def _optimum_run(state: SolverState, config: LearnConfig):
                 return history, "certified"
             if capped or stalled:
                 return history, "max_epochs" if capped else "stalled"
-        # A full step has found the active set (the local regime of
-        # projected Newton): its weights need no sweep, and its phi and
-        # objective are exact for the next certificate.
-        if newton_step(state)[0] < 1.0:
-            epoch(state)
+        newton_step(state)
         history.append(state.objective)
 
 

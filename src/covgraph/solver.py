@@ -162,10 +162,12 @@ _MAX_TRIALS = 30
 # joint-large (n = 200): model_objective of one point under 20 random vertex
 # permutations, which leave its exact value as it is, spread by up to 53
 # units (median 2.3) and lay up to 42 units from the unpermuted value. 100
-# is about twice that. On the same problems allowances of 10 and 30 took
-# 230 and 290 epochs (joint and baseline desk), and 100, 300 and 1000 took
-# 229 and 289, against 259 and 324 without the rule; every support above
-# 1e-10 stayed that of the run without it.
+# is about twice that. Without the rule the Armijo test at the floor decides
+# at random: with an allowance of 0 the uniform and kernel starts of
+# criterion-8 joint trial 6 at r = 0.02 (n = 50) kept different weights
+# above 1e-10, and with 10 to 1000 the same. On the desk problems
+# allowances of 0, 10 and 30 took 297, 300 and 300 Newton rounds (joint)
+# and 306, 310 and 310 (baseline), and 100, 300 and 1000 took 301 and 310.
 ROUNDING_ALLOWANCE = 100.0
 _EPS = float(np.finfo(float).eps)
 
@@ -616,13 +618,13 @@ def newton_step(state):
     condition of Hager and Zhang (SIAM J. Optim. 2005); otherwise the line
     search backtracks as above. So a round never raises the objective,
     except by at most eps_f on a full step below the floor. On the 35 joint
-    and 35 baseline desk problems and joint-large, 36 of 662 rounds raised
-    it, by at most 60 units of eps * |f(x)|, and the rounds that ran an
-    epoch after a shortened step fell from 238 to 172 (Intel Xeon, numpy
-    2.4, 1 BLAS thread).
+    and 35 baseline desk problems and joint-large, 37 of 625 rounds raised
+    it, by at most 36 units of eps * |f(x)| (Intel Xeon, numpy 2.4, 1 BLAS
+    thread).
 
-    A step can leave tiny weights that belong at zero; the coordinate epoch
-    after it clears them. The state counts the steps, their CG iterations
+    A weight that a step leaves tiny but positive stays free, so the next
+    step that points it below zero projects it onto zero; no coordinate
+    epoch follows a step. The state counts the steps, their CG iterations
     and the line searches that accepted no point.
 
     Reading phi flushes pending updates; phi may carry the rounding drift of

@@ -114,8 +114,8 @@ class TestLearn:
         assert json.loads((tmp_path / "graph.meta.json").read_text())["converged"] is False
 
     def test_cap_reached_by_full_newton_steps_warns_max_epochs(self, tmp_path, capsys):
-        # Five warm epochs and two full-length Newton steps, which skip
-        # their epoch: 5 epochs run, but the cap of 7 counts the rounds too.
+        # Five warm epochs and two Newton rounds, which run no epoch: 5
+        # epochs run, but the cap of 7 counts the rounds too.
         cov = tmp_path / "cov.csv"
         assert run("synth", "--n", "20", "--range", "0.2", "--seed", "8", "--out-cov", str(cov)) == 0
         out = tmp_path / "graph.json"

@@ -545,7 +545,8 @@ class TestCertifiedOptimum:
             reported = max(report.max_edge_residual, report.max_vertex_residual)
             assert result.kkt_residual == pytest.approx(reported, rel=0, abs=1e-12)
 
-    def test_rounds_sweep_only_after_a_shortened_step(self, monkeypatch):
+    @pytest.mark.parametrize("max_epochs", [1000, 3])
+    def test_sweeps_only_in_the_warm_phase(self, monkeypatch, max_epochs):
         events = []
 
         def recording_newton(state):
@@ -560,16 +561,26 @@ class TestCertifiedOptimum:
         monkeypatch.setattr(covgraph.learn, "newton_step", recording_newton)
         monkeypatch.setattr(covgraph.learn, "sweep_edges", recording_sweep)
         sample, S = desk_problem(0, 1.0)
-        result = learn_joint(S, kernel_config(sample))
-        assert result.converged
-        assert events.count("sweep") == result.epochs_run
-        assert len(result.history) == WARM_EPOCHS + result.newton_rounds + 1
-        assert events[:WARM_EPOCHS] == ["sweep"] * WARM_EPOCHS
-        rounds = events[WARM_EPOCHS:]
-        steps = [(step, rounds[k + 1 : k + 2] == ["sweep"]) for k, step in enumerate(rounds) if step != "sweep"]
-        assert len(steps) == result.newton_rounds
-        assert all(swept == (step < 1.0) for step, swept in steps)
-        assert any(step == 1.0 for step, _ in steps) and any(step < 1.0 for step, _ in steps)
+        result = learn_joint(S, kernel_config(sample, max_epochs=max_epochs))
+        warm = min(WARM_EPOCHS, max_epochs)
+        assert result.epochs_run == warm
+        assert events[:warm] == ["sweep"] * warm
+        steps = events[warm:]
+        assert "sweep" not in steps and len(steps) == result.newton_rounds
+        assert len(result.history) == warm + result.newton_rounds + 1
+        if max_epochs == 1000:
+            # Shortened steps are followed by the next step, not by a sweep.
+            assert result.converged
+            assert any(step == 1.0 for step in steps) and any(step < 1.0 for step in steps)
+
+    @pytest.mark.parametrize("method, r", [("baseline", 0.1), ("joint", 0.02)])
+    def test_n200_trial_2_certifies(self, method, r):
+        # With a coordinate epoch after every shortened Newton step both
+        # stalled at a residual of about 6e-6.
+        sample, S = desk_problem(2, r, n=200)
+        result = learn(S, kernel_config(sample, method=method))
+        assert result.stop == "certified" and result.kkt_residual <= KKT_EXIT
+        assert kkt_report(result, S).passed
 
     @pytest.mark.parametrize("trial, r", [(4, 0.1), (6, 0.2), (6, 1.0)])
     def test_criterion_8_baselines_pass_kkt(self, trial, r):

@@ -102,6 +102,22 @@ def test_in_process_alternates_two_imports_of_the_tree():
     assert row["identical"] == row["problems"] == 2
 
 
+def test_in_process_counts_each_sides_learns():
+    packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_count")
+                for side in bench_pairs.SIDES}
+    _, results = bench_pairs.timed_learns(packages["change"], "joint",
+                                          bench_pairs.problem_inputs(packages["change"], TINY))
+    expected = {
+        "epochs": sum(result.epochs_run for result in results),
+        "newton_rounds": sum(result.newton_rounds for result in results),
+        "cg_iterations": sum(result.cg_iterations for result in results),
+        "certified": 2,
+    }
+    assert expected["epochs"] > 0 and expected["newton_rounds"] > 0 and expected["cg_iterations"] > 0
+    measured = bench_pairs.in_process(packages, {"tiny": ("joint", TINY)}, rounds=2)
+    assert measured["summary"]["tiny"]["counts"] == {"parent": expected, "change": expected}
+
+
 def _ulp_up(value):
     return np.nextafter(value, np.inf)
 

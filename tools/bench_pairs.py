@@ -43,7 +43,9 @@ otherwise. The times go under the key
 ``in_process`` of ``--out``, and the file's other keys are kept, so one
 file holds both sets. The summary gives, per problem set, each side's
 median, quartiles and minimum, the rounds the change wins and the
-quartiles of the per-round ratio change / parent. Outside the timed
+quartiles of the per-round ratio change / parent, and each side's totals
+over the set's learns (``counts``): coordinate epochs, Newton rounds, CG
+iterations and certified stops. Outside the timed
 region the run also compares the two sides' outputs, problem by problem:
 ``identical`` holds, per problem set, whether ``graph.edges``, the bytes
 of ``graph.q``, ``repr(objective)``, ``history``, ``epochs_run``,
@@ -205,6 +207,17 @@ def output_digest(result):
             result.cg_iterations, result.failed_line_searches)
 
 
+def run_counts(results):
+    """Totals over one problem set's learns: coordinate epochs, Newton
+    rounds, their CG iterations and the runs that stopped certified."""
+    return {
+        "epochs": sum(result.epochs_run for result in results),
+        "newton_rounds": sum(result.newton_rounds for result in results),
+        "cg_iterations": sum(result.cg_iterations for result in results),
+        "certified": sum(result.stop == "certified" for result in results),
+    }
+
+
 def in_process(packages, problem_sets, rounds):
     """Alternate the sides' learns over ``rounds`` rounds in this process.
 
@@ -214,12 +227,13 @@ def in_process(packages, problem_sets, rounds):
     even rounds. Returns
     the per-round times, the unconverged counts, whether each problem's
     outputs were byte-identical on both sides in every round, and the
-    summary."""
+    summary with each side's :func:`run_counts` of the last round."""
     inputs = {name: problem_inputs(packages["change"], problems)
               for name, (_, problems) in problem_sets.items()}
     times = {side: {name: [] for name in problem_sets} for side in SIDES}
     unconverged = {side: 0 for side in SIDES}
     identical = {name: [True] * len(problems) for name, (_, problems) in problem_sets.items()}
+    counts = {}
     for k in range(rounds):
         digests = {}
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
@@ -228,6 +242,7 @@ def in_process(packages, problem_sets, rounds):
                 times[side][name].append(seconds)
                 unconverged[side] += sum(not result.converged for result in results)
                 digests[side, name] = [output_digest(result) for result in results]
+                counts[side, name] = run_counts(results)
         for name in problem_sets:
             pairs = zip(identical[name], digests["parent", name], digests["change", name])
             identical[name] = [same and parent == change for same, parent, change in pairs]
@@ -244,6 +259,7 @@ def in_process(packages, problem_sets, rounds):
             "rounds": rounds,
             "identical": sum(identical[name]),
             "problems": len(identical[name]),
+            "counts": {side: counts[side, name] for side in SIDES},
         }
     return {"rounds": times, "unconverged": unconverged, "identical": identical, "summary": summary}
 
@@ -356,6 +372,9 @@ def main_in_process(args):
         print(f"{name}: parent {row['parent']['median']:.4g} s, change {row['change']['median']:.4g} s, "
               f"change wins {row['change_wins']} of {row['rounds']}, "
               f"{row['identical']} of {row['problems']} outputs identical", file=sys.stderr)
+        for side in SIDES:
+            print(f"  {side}: " + ", ".join(f"{k} {v}" for k, v in row["counts"][side].items()),
+                  file=sys.stderr)
     return 0
 
 
