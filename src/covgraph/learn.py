@@ -46,10 +46,14 @@ proceeds and when it stops:
   round ends a run that its refreshed inverse certifies: at sill 1e-4
   (n = 50, trial 0, r = 1, joint, kernel start) the residual wanders at a
   floor between ``KKT_EXIT`` and ``KKT_SETTLE``, and without the band the
-  run takes 15 rounds instead of 10. Each accepted Newton step inverts the
-  model matrix at its new point, so a round decides on the inverse of the
-  last accepted step, or before any on the maintained inverse of the warm
-  epochs, and only the exit refreshes it.
+  run takes 16 rounds instead of 12. A round whose line search accepts no
+  point leaves the state as it was, so the next would repeat it: the run
+  stops there too, ``"certified"`` by the refreshed inverse or
+  ``"stalled"`` (the 3 x 3 rows at correlation 1 - 1e-14 of the
+  near-degenerate tests ran 3 and 4 such rounds). Each accepted Newton
+  step inverts the model matrix at its new point, so a round decides on
+  the inverse of the last accepted step, or before any on the maintained
+  inverse of the warm epochs, and only the exit refreshes it.
 - ``"paper"`` is the stop protocol of the paper's benchmark table, which
   :func:`covgraph.bench.run_experiment` always runs. The run stops once
   the objective improves by less than ``stop_tol`` over an epoch. The
@@ -100,14 +104,17 @@ REFRESH_EVERY = 50
 # almost no weight, and the epochs find the support again more cheaply than
 # Newton steps, which free only the coordinates whose gradient points
 # inward. Measured in one process on an Intel Xeon with numpy 2.4 and 1
-# BLAS thread, kernel starts: 3, 4, 5 and 6 warm epochs took one
-# joint-large learn (n = 200, trial 0, r = 1) 21, 23, 14 and 12 Newton
-# rounds and 1.30, 1.43, 1 and 0.98 times the time of 5 (medians of 7
-# runs); the 35 joint desk problems (n = 50, trials 0-6, five ranges) took
-# 333, 306, 301 and 292 rounds, and with 6 the desk problem at trial 6,
-# r = 1 stalls at a KKT residual of 2.5e-3, its Newton steps shrinking to
-# 2e-6. So 5 stays.
-WARM_EPOCHS = 5
+# BLAS thread, kernel starts, medians of 5 alternating rounds, with the
+# inverse-Hessian preconditioner of covgraph.solver.newton_step: 1 to 6
+# warm epochs took the 35 joint desk problems (n = 50, trials 0-6, five
+# ranges) 0.67, 0.63, 0.66, 0.67, 0.76 and 0.83 s (436, 353, 315, 291, 282
+# and 271 rounds), one joint-large learn (n = 200, trial 0, r = 1) 1.72,
+# 0.30, 0.33, 0.38, 0.29 and 0.25 s (27, 17, 20, 23, 14 and 12 rounds) and
+# the 35 baseline desk problems 1.18, 1.23, 1.38, 1.51, 1.62 and 1.82 s.
+# With 6 the desk problem at trial 6, r = 1 stalls at a KKT residual of
+# 2.5e-3, its Newton steps shrinking to 2e-6. So 2, where the Jacobi
+# preconditioner had made 5 the fastest.
+WARM_EPOCHS = 2
 
 # Largest KKT residual, on a freshly refreshed inverse, at which an
 # "optimum" run counts as converged: kkt_report's arithmetic with a 100x
@@ -346,7 +353,7 @@ def _optimum_run(state: SolverState, config: LearnConfig):
     for _ in range(min(WARM_EPOCHS, config.max_epochs)):
         epoch(state)
         history.append(state.objective)
-    best, lowest, stale = math.inf, math.inf, 0
+    best, lowest, stale, failed = math.inf, math.inf, 0, False
     while True:
         capped = len(history) - 1 >= config.max_epochs
         residual = certificate(state)[0]
@@ -354,7 +361,8 @@ def _optimum_run(state: SolverState, config: LearnConfig):
         moved = residual < STALL_DROP * best or state.objective < lowest - progress
         best, lowest = min(best, residual), min(lowest, state.objective)
         stale = 0 if moved else stale + 1
-        stalled = stale >= STALL_ROUNDS
+        # A failed line search left the state as it was.
+        stalled = stale >= STALL_ROUNDS or failed
         # The settle band: once the lowest residual is certifiable, one
         # round without a new low ends a run that the refresh certifies.
         settled = stale > 0 and best <= KKT_EXIT
@@ -366,7 +374,7 @@ def _optimum_run(state: SolverState, config: LearnConfig):
                 return history, "certified"
             if capped or stalled:
                 return history, "max_epochs" if capped else "stalled"
-        newton_step(state)
+        failed = newton_step(state)[0] == 0.0
         history.append(state.objective)
 
 

@@ -114,16 +114,16 @@ class TestLearn:
         assert json.loads((tmp_path / "graph.meta.json").read_text())["converged"] is False
 
     def test_cap_reached_by_full_newton_steps_warns_max_epochs(self, tmp_path, capsys):
-        # Five warm epochs and two Newton rounds, which run no epoch: 5
-        # epochs run, but the cap of 7 counts the rounds too.
+        # Two warm epochs and two full Newton rounds, which run no epoch: 2
+        # epochs run, but the cap of 4 counts the rounds too.
         cov = tmp_path / "cov.csv"
         assert run("synth", "--n", "20", "--range", "0.2", "--seed", "8", "--out-cov", str(cov)) == 0
         out = tmp_path / "graph.json"
-        assert run("learn", "--cov", str(cov), "--max-epochs", "7", "--out", str(out)) == 0
+        assert run("learn", "--cov", str(cov), "--max-epochs", "4", "--out", str(out)) == 0
         meta = json.loads((tmp_path / "graph.meta.json").read_text())
-        assert (meta["epochs"], meta["newton_rounds"], meta["converged"]) == (5, 2, False)
+        assert (meta["epochs"], meta["newton_rounds"], meta["converged"]) == (2, 2, False)
         err = capsys.readouterr().err
-        assert err.startswith("warning: stopped at max_epochs=7 before the KKT residual reached ")
+        assert err.startswith("warning: stopped at max_epochs=4 before the KKT residual reached ")
 
     @pytest.mark.parametrize("synth, options, stop", [
         (("12", "0.3", "10", "42"), ("--points", "PTS"), "certified"),

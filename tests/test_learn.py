@@ -41,7 +41,7 @@ from covgraph.bench import (
 )
 from covgraph.graphs import laplacian_from_pairs
 from covgraph.learn import KKT_EXIT, WARM_EPOCHS, epoch, learn
-from covgraph.solver import clamp_step, evaluate_objective, newton_step, refresh_phi, sweep_edges
+from covgraph.solver import _CG_MAX_ITER, clamp_step, evaluate_objective, newton_step, refresh_phi, sweep_edges
 from _support import batched_path, edge_weight_map, kernel_spd_covariance, mixed_sign_spd_covariance
 from oracles import (
     kernel_weights_loop,
@@ -589,6 +589,24 @@ class TestCertifiedOptimum:
         result = learn_cgl_baseline(S, kernel_config(sample, method="baseline"))
         assert result.converged and result.kkt_residual <= KKT_EXIT
         assert kkt_report(result, S).passed
+
+    @pytest.mark.parametrize("init", ["uniform", "kernel"])
+    def test_no_newton_solve_reaches_the_cg_cap(self, monkeypatch, init):
+        # Criterion-8 baseline trial 6 at r = 0.2, where the Jacobi
+        # preconditioner took up to _CG_MAX_ITER iterations a round.
+        iterations = []
+
+        def recording_newton(state):
+            step, count = newton_step(state)
+            iterations.append(count)
+            return step, count
+
+        monkeypatch.setattr(covgraph.learn, "newton_step", recording_newton)
+        sample, S = desk_problem(6, 0.2)
+        config = kernel_config(sample, method="baseline") if init == "kernel" else LearnConfig(method="baseline")
+        result = learn(S, config)
+        assert result.stop == "certified" and kkt_report(result, S).passed
+        assert iterations and max(iterations) < _CG_MAX_ITER
 
     def test_rounding_level_lows_do_not_extend_a_run(self):
         # At sill 1e-4 the residual falls below KKT_EXIT and then wanders

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_degenerate import ROWS
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -80,13 +82,18 @@ def test_bound_and_claim_follow_direction(better, parent, change, within, claim)
 TINY = ((8, 0, 1.0), (8, 1, 0.1))
 
 
+def tiny(package, method="joint"):
+    """The learns of the TINY problems by ``method``, from kernel starts."""
+    return bench_pairs.variogram_learns(package, method, TINY)
+
+
 def test_in_process_alternates_two_imports_of_the_tree():
     packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_test")
                 for side in bench_pairs.SIDES}
     assert packages["parent"].learn_joint is not packages["change"].learn_joint
     assert packages["parent"].solver.__name__ == "covgraph_parent_test.solver"
 
-    measured = bench_pairs.in_process(packages, {"tiny": ("joint", TINY)}, rounds=3)
+    measured = bench_pairs.in_process(packages, {"tiny": tiny(packages["change"])}, rounds=3)
     assert measured["unconverged"] == {"parent": 0, "change": 0}
     times = measured["rounds"]
     parent, change = times["parent"]["tiny"], times["change"]["tiny"]
@@ -105,16 +112,16 @@ def test_in_process_alternates_two_imports_of_the_tree():
 def test_in_process_counts_each_sides_learns():
     packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_count")
                 for side in bench_pairs.SIDES}
-    _, results = bench_pairs.timed_learns(packages["change"], "joint",
-                                          bench_pairs.problem_inputs(packages["change"], TINY))
+    _, results = bench_pairs.timed_learns(packages["change"], tiny(packages["change"]))
     expected = {
         "epochs": sum(result.epochs_run for result in results),
         "newton_rounds": sum(result.newton_rounds for result in results),
         "cg_iterations": sum(result.cg_iterations for result in results),
+        "failed_line_searches": sum(result.failed_line_searches for result in results),
         "certified": 2,
     }
     assert expected["epochs"] > 0 and expected["newton_rounds"] > 0 and expected["cg_iterations"] > 0
-    measured = bench_pairs.in_process(packages, {"tiny": ("joint", TINY)}, rounds=2)
+    measured = bench_pairs.in_process(packages, {"tiny": tiny(packages["change"])}, rounds=2)
     assert measured["summary"]["tiny"]["counts"] == {"parent": expected, "change": expected}
 
 
@@ -156,10 +163,10 @@ class _Perturbed:
 def test_in_process_flags_a_problem_whose_outputs_differ(from_call):
     packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_flag")
                 for side in bench_pairs.SIDES}
-    S, _ = bench_pairs.problem_inputs(packages["change"], TINY[1:])[0]
-    packages["change"] = _Perturbed(packages["change"], S[0, 1], from_call)
+    learns = tiny(packages["change"])
+    packages["change"] = _Perturbed(packages["change"], learns[1][1][0, 1], from_call)
     # A difference in any round, the first or a later one, marks the problem.
-    measured = bench_pairs.in_process(packages, {"tiny": ("joint", TINY)}, rounds=2)
+    measured = bench_pairs.in_process(packages, {"tiny": learns}, rounds=2)
     assert measured["identical"] == {"tiny": [True, False]}
     assert measured["summary"]["tiny"]["identical"] == 1
 
@@ -172,9 +179,9 @@ def test_in_process_flags_a_problem_whose_outputs_differ(from_call):
 def test_in_process_flags_a_problem_whose_certificate_differs(field, change):
     packages = {side: bench_pairs.load_package(bench_pairs.ROOT, f"covgraph_{side}_cert")
                 for side in bench_pairs.SIDES}
-    S, _ = bench_pairs.problem_inputs(packages["change"], TINY[1:])[0]
-    packages["change"] = _Perturbed(packages["change"], S[0, 1], 0, field, change)
-    measured = bench_pairs.in_process(packages, {"tiny": ("joint", TINY)}, rounds=2)
+    learns = tiny(packages["change"])
+    packages["change"] = _Perturbed(packages["change"], learns[1][1][0, 1], 0, field, change)
+    measured = bench_pairs.in_process(packages, {"tiny": learns}, rounds=2)
     assert measured["identical"] == {"tiny": [True, False]}
     assert measured["summary"]["tiny"]["identical"] == 1
 
@@ -182,6 +189,8 @@ def test_in_process_flags_a_problem_whose_certificate_differs(field, change):
 def test_in_process_run_keeps_the_other_keys_of_the_file(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "DESK", TINY)
     monkeypatch.setattr(bench_pairs, "LARGE", TINY[:1])
+    full_table = bench_pairs.degenerate_learns
+    monkeypatch.setattr(bench_pairs, "degenerate_learns", lambda checkout: full_table(checkout)[:2])
     # main sets these when unset; the patch restores them afterwards.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
@@ -192,18 +201,35 @@ def test_in_process_run_keeps_the_other_keys_of_the_file(tmp_path, monkeypatch):
     assert code == 0
     record = json.loads(out.read_text())
     assert record["summary"] == {"joint-large": 1}
-    assert set(record["in_process"]["summary"]) == {"desk", "large", "baseline"}
+    assert set(record["in_process"]["summary"]) == {"desk", "large", "baseline", "degenerate"}
     assert len(record["in_process"]["rounds"]["change"]["large"]) == 2
     assert "OPENBLAS_NUM_THREADS=1" in record["in_process"]["environment"]
-    assert record["in_process"]["identical"] == {"desk": [True, True], "large": [True], "baseline": [True, True]}
+    assert record["in_process"]["identical"] == {
+        "desk": [True, True], "large": [True], "baseline": [True, True], "degenerate": [True, True]}
 
 
 def test_each_problem_set_learns_by_its_method():
     package = bench_pairs.load_package(bench_pairs.ROOT, "covgraph_method_test")
-    inputs = bench_pairs.problem_inputs(package, TINY)
-    methods = {name: method for name, (method, _) in bench_pairs.default_problem_sets().items()}
-    assert methods == {"desk": "joint", "large": "joint", "baseline": "baseline"}
+    sets = bench_pairs.default_problem_sets(package, bench_pairs.ROOT)
+    methods = {name: {method for method, _, _ in learns} for name, learns in sets.items()}
+    assert methods == {"desk": {"joint"}, "large": {"joint"}, "baseline": {"baseline"},
+                       "degenerate": {"joint", "baseline"}}
+    assert [len(sets[name]) for name in ("desk", "large", "baseline")] == [35, 1, 35]
     for method, joint in (("joint", True), ("baseline", False)):
-        _, results = bench_pairs.timed_learns(package, method, inputs)
+        _, results = bench_pairs.timed_learns(package, tiny(package, method))
         assert [result.graph.q is not None for result in results] == [joint, joint]
         assert all(result.stop == "certified" for result in results)
+
+
+def test_degenerate_set_is_the_table_of_the_tests():
+    # Every row of tests/test_degenerate.py, by both methods in turn, from
+    # the row's own input and start.
+    learns = bench_pairs.degenerate_learns(bench_pairs.ROOT)
+    assert len(learns) == 2 * len(ROWS)
+    for (make, argument, _, _), joint, baseline in zip(ROWS, learns[::2], learns[1::2]):
+        S, start = make(argument)
+        assert (joint[0], baseline[0]) == ("joint", "baseline")
+        for _, entries, options in (joint, baseline):
+            assert np.array_equal(entries, getattr(S, "entries", S))
+            assert options.keys() == start.keys()
+            assert np.array_equal(options.get("points"), start.get("points"))

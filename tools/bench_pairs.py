@@ -32,12 +32,15 @@ for ``analyze``) under ``peak_rss_mb``, with no other tool:
 ``--in-process`` measures in one process instead, which the machine's
 drift between processes does not reach. Both trees are imported side by
 side, under the package names ``covgraph_parent`` and ``covgraph_change``.
-Each of ``--pairs`` rounds times, per side, three problem sets on the same
-inputs, each learn from a kernel start under the default protocol:
-``desk``, the 35 joint desk learns (n = 50, trials 0-6, five ranges);
-``large``, one joint-large learn (n = 200, trial 0, r = 1); and
+Each of ``--pairs`` rounds times, per side, four problem sets on the same
+inputs, each learn under the default protocol: from a kernel start,
+``desk``, the 35 joint desk learns (n = 50, trials 0-6, five ranges),
+``large``, one joint-large learn (n = 200, trial 0, r = 1), and
 ``baseline``, the 35 desk problems learned by the baseline method, which
-no benchmark workload runs. The side that goes first alternates from
+no benchmark workload runs; and ``degenerate``, the near-degenerate table
+``ROWS`` of ``tests/test_degenerate.py`` in the change's tree, each row by
+both methods from its own start, whose ``certified`` count says how many
+of them each side certifies. The side that goes first alternates from
 round to round. BLAS runs one thread unless ``OPENBLAS_NUM_THREADS`` says
 otherwise. The times go under the key
 ``in_process`` of ``--out``, and the file's other keys are kept, so one
@@ -45,7 +48,7 @@ file holds both sets. The summary gives, per problem set, each side's
 median, quartiles and minimum, the rounds the change wins and the
 quartiles of the per-round ratio change / parent, and each side's totals
 over the set's learns (``counts``): coordinate epochs, Newton rounds, CG
-iterations and certified stops. Outside the timed
+iterations, failed line searches and certified stops. Outside the timed
 region the run also compares the two sides' outputs, problem by problem:
 ``identical`` holds, per problem set, whether ``graph.edges``, the bytes
 of ``graph.q``, ``repr(objective)``, ``history``, ``epochs_run``,
@@ -155,11 +158,6 @@ DESK = tuple((50, trial, r) for trial in range(7) for r in (0.01, 0.02, 0.1, 0.2
 LARGE = ((200, 0, 1.0),)
 
 
-def default_problem_sets():
-    """The in-process problem sets: name -> (method, problems)."""
-    return {"desk": ("joint", DESK), "large": ("joint", LARGE), "baseline": ("baseline", DESK)}
-
-
 def load_package(checkout, name):
     """Import ``src/covgraph`` of ``checkout`` as the package ``name``."""
     source = Path(checkout) / "src" / "covgraph"
@@ -171,24 +169,58 @@ def load_package(checkout, name):
     return package
 
 
-def problem_inputs(package, problems):
-    """(covariance entries, locations) of each (n, trial, range) problem."""
-    inputs = []
+def variogram_learns(package, method, problems):
+    """One learn by ``method`` of each (n, trial, range) problem, from a
+    kernel start: (method, covariance entries, start options)."""
+    learns = []
     for n, trial, r in problems:
         sample = package.sample_locations(n, trial)
         S = package.variogram_covariance(sample, package.VariogramSpec(range_=r))
-        inputs.append((S.entries, sample.points))
-    return inputs
+        learns.append((method, S.entries, {"init": "kernel", "points": sample.points}))
+    return learns
 
 
-def timed_learns(package, method, inputs):
-    """(seconds, results) of one learn per input by ``method`` (``"joint"``
-    or ``"baseline"``) from a kernel start, under the default protocol."""
-    learner = package.learn_joint if method == "joint" else package.learn_cgl_baseline
+def degenerate_learns(checkout):
+    """The learns of the near-degenerate table, ``ROWS`` of the checkout's
+    ``tests/test_degenerate.py``: each row by the joint and then the
+    baseline method, from the row's start. The rows build their inputs
+    with ``covgraph``, imported from the checkout's ``src`` unless it is
+    importable already."""
+    if importlib.util.find_spec("covgraph") is None:
+        sys.path.insert(0, str(Path(checkout) / "src"))
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs_degenerate", Path(checkout) / "tests" / "test_degenerate.py")
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    learns = []
+    for make, argument, _, _ in table.ROWS:
+        S, start = make(argument)
+        entries = S.entries if hasattr(S, "entries") else S
+        learns += [(method, entries, start) for method in ("joint", "baseline")]
+    return learns
+
+
+def default_problem_sets(package, checkout):
+    """The in-process problem sets, name -> learns, with inputs built by
+    ``package``: the 35 joint desk learns, joint-large, the 35 desk
+    problems by the baseline method and the near-degenerate table of
+    ``checkout``."""
+    return {
+        "desk": variogram_learns(package, "joint", DESK),
+        "large": variogram_learns(package, "joint", LARGE),
+        "baseline": variogram_learns(package, "baseline", DESK),
+        "degenerate": degenerate_learns(checkout),
+    }
+
+
+def timed_learns(package, learns):
+    """(seconds, results) of ``learns``, each (method, covariance, start
+    options) learned under the default protocol."""
     results = []
     start = time.perf_counter()
-    for S, points in inputs:
-        results.append(learner(S, package.LearnConfig(method=method, init="kernel", points=points)))
+    for method, S, options in learns:
+        learner = package.learn_joint if method == "joint" else package.learn_cgl_baseline
+        results.append(learner(S, package.LearnConfig(method=method, **options)))
     return time.perf_counter() - start, results
 
 
@@ -209,11 +241,13 @@ def output_digest(result):
 
 def run_counts(results):
     """Totals over one problem set's learns: coordinate epochs, Newton
-    rounds, their CG iterations and the runs that stopped certified."""
+    rounds, their CG iterations, the failed line searches and the runs that
+    stopped certified."""
     return {
         "epochs": sum(result.epochs_run for result in results),
         "newton_rounds": sum(result.newton_rounds for result in results),
         "cg_iterations": sum(result.cg_iterations for result in results),
+        "failed_line_searches": sum(result.failed_line_searches for result in results),
         "certified": sum(result.stop == "certified" for result in results),
     }
 
@@ -222,23 +256,21 @@ def in_process(packages, problem_sets, rounds):
     """Alternate the sides' learns over ``rounds`` rounds in this process.
 
     ``packages`` maps each side of ``SIDES`` to its imported package and
-    ``problem_sets`` a set name to its method and its (n, trial, range)
-    problems. Round k runs every set on both sides, the parent first in
+    ``problem_sets`` a set name to its learns, as :func:`timed_learns`
+    takes them. Round k runs every set on both sides, the parent first in
     even rounds. Returns
     the per-round times, the unconverged counts, whether each problem's
     outputs were byte-identical on both sides in every round, and the
     summary with each side's :func:`run_counts` of the last round."""
-    inputs = {name: problem_inputs(packages["change"], problems)
-              for name, (_, problems) in problem_sets.items()}
     times = {side: {name: [] for name in problem_sets} for side in SIDES}
     unconverged = {side: 0 for side in SIDES}
-    identical = {name: [True] * len(problems) for name, (_, problems) in problem_sets.items()}
+    identical = {name: [True] * len(learns) for name, learns in problem_sets.items()}
     counts = {}
     for k in range(rounds):
         digests = {}
         for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-            for name, (method, _) in problem_sets.items():
-                seconds, results = timed_learns(packages[side], method, inputs[name])
+            for name, learns in problem_sets.items():
+                seconds, results = timed_learns(packages[side], learns)
                 times[side][name].append(seconds)
                 unconverged[side] += sum(not result.converged for result in results)
                 digests[side, name] = [output_digest(result) for result in results]
@@ -277,8 +309,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--what", default="", help="one line saying what is compared")
     parser.add_argument("--in-process", action="store_true",
-                        help="alternate desk, joint-large and baseline desk learns of both trees "
-                             "in this process")
+                        help="alternate desk, joint-large, baseline desk and near-degenerate "
+                             "learns of both trees in this process")
     args = parser.parse_args(argv)
     if args.in_process:
         return main_in_process(args)
@@ -349,7 +381,8 @@ def main_in_process(args):
     try:
         checkouts = checkout_trees({"parent": args.parent, "change": args.change}, tmp)
         packages = {side: load_package(checkouts[side], f"covgraph_{side}") for side in SIDES}
-        measured = in_process(packages, default_problem_sets(), args.pairs)
+        measured = in_process(packages, default_problem_sets(packages["change"], checkouts["change"]),
+                              args.pairs)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     record["in_process"] = {
@@ -359,7 +392,9 @@ def main_in_process(args):
                    "and side the total learn time of the 35 joint desk specs (n=50, trials 0-6 "
                    "x ranges 0.01, 0.02, 0.1, 0.2, 1), of one joint-large learn (n=200, trial 0, "
                    "r=1) and of the 35 desk specs learned by the baseline method, each from a "
-                   "kernel start under the default protocol, on the same inputs; even rounds run "
+                   "kernel start, and of the near-degenerate table of tests/test_degenerate.py "
+                   "(each row by both methods, from its own start), all under the default "
+                   "protocol, on the same inputs; even rounds run "
                    "the parent first; quartiles by linear interpolation; seconds; outputs "
                    "compared per problem outside the timed region"),
         "environment": (f"python {sys.version.split()[0]}, numpy {version('numpy')}, "
